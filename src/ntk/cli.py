@@ -1,9 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 verified/ok, 1 usage or parse problem, 2 verification
-failure, 3 search guard exceeded. Everything is deterministic; the
-``--seedless`` flag is accepted but reserved. ``NTK_GUARD_N`` in the
-environment overrides all search guards at once.
+failure, 3 search guard exceeded. Everything is deterministic.
+``NTK_GUARD_N`` in the environment overrides all search guards at once.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ _GUARD_ERRORS = (OrderTooLarge, TooLarge)
 @dataclass
 class RunConfig:
     spec: str
-    command: str
     fmt: str = "text"
     ordering: list[str] | None = None
     guard: int | None = None
@@ -178,12 +176,11 @@ def cmd_catalog(max_order: int, flt: str, guard: int | None, fmt: str) -> int:
     passed = 0
     for entry in entries:
         group = entry.group
-        report = sylow2(group)
         if flt == "odd" and group.n % 2 == 0:
             continue
         if flt == "even" and group.n % 2 == 1:
             continue
-        if flt == "construction" and report.classification != CYCLIC_NONTRIVIAL:
+        if flt == "construction" and sylow2(group).classification != CYCLIC_NONTRIVIAL:
             continue
         try:
             result = construction.near_transversal(group, guard=guard)
@@ -231,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated element names overriding the harmonious ordering")
         p.add_argument("--guard-override", default=None, type=int, dest="guard",
                        help="raise/lower the search guards for this invocation")
-        p.add_argument("--seedless", action="store_true",
-                       help="reserved; everything is already deterministic")
 
     common(sub.add_parser("analyze", help="order, Sylow-2 class, decomposition parameters"))
     common(sub.add_parser("construct", help="emit a verified near transversal"))
@@ -262,8 +257,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "catalog":
             return cmd_catalog(args.max_order, args.filter, args.guard, fmt)
-        cfg = RunConfig(spec=args.spec, command=args.command, fmt=fmt,
-                        ordering=ordering, guard=args.guard)
+        cfg = RunConfig(spec=args.spec, fmt=fmt, ordering=ordering, guard=args.guard)
         if args.command == "analyze":
             return cmd_analyze(cfg)
         if args.command == "construct":

@@ -39,7 +39,7 @@ from .groups import (
     subgroup_closure,
     sylow2,
 )
-from .latin import Cell
+from .latin import Cell, cayley_square, is_partial_transversal
 from .mappings import find_complete_mapping, harmonious_ordering, verify_harmonious
 
 BRANCH_CONSTRUCTION = "construction"
@@ -315,16 +315,10 @@ def extract_near_transversal(witness: Witness) -> tuple[Cell, ...]:
     n = dec.group.n
     if len(cells) != n - 1:
         raise StructureViolation(f"extracted {len(cells)} cells, expected {n - 1}")
-    _validate_cells(dec.group, cells)
+    ok, violation = is_partial_transversal(cayley_square(dec.group), cells)
+    if not ok:
+        raise StructureViolation(f"cells are not a partial transversal: {violation}")
     return tuple(cells)
-
-
-def _validate_cells(group: Group, cells: Sequence[Cell]) -> None:
-    rows = {r for r, _ in cells}
-    cols = {c for _, c in cells}
-    syms = {group.table[r][c] for r, c in cells}
-    if not (len(rows) == len(cols) == len(syms) == len(cells)):
-        raise StructureViolation("cells are not a partial transversal")
 
 
 def near_transversal(group: Group, *,
@@ -367,7 +361,9 @@ def near_transversal(group: Group, *,
                 "is trivial or non-cyclic; this contradicts the classification"
             )
     cells = tuple((g, sigma[g]) for g in range(n - 1))
-    _validate_cells(group, cells)
+    ok, violation = is_partial_transversal(cayley_square(group), cells)
+    if not ok:
+        raise StructureViolation(f"cells are not a partial transversal: {violation}")
     return ConstructionResult(
         group=group,
         branch=BRANCH_COMPLETE_MAPPING,

@@ -7,8 +7,9 @@ construction and every operation here is a pure function, so values can be
 shared freely across threads.
 
 Validation is always on: the latin property, a two-sided identity, and
-(for orders up to ``ASSOCIATIVITY_LIMIT``) full associativity are checked
-before a :class:`Group` is handed out.
+associativity are checked at every order before a :class:`Group` is handed
+out. Associativity is checked by Light's test over a generating set, which
+is exact and costs O(n^2) per generator.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .errors import (
     StructureViolation,
 )
 
-# Above this order the O(n^3) associativity check must be requested explicitly.
-ASSOCIATIVITY_LIMIT = 512
+# Rows of the table compared per step of the associativity check, so its
+# temporaries stay small next to the table itself.
+_ASSOC_BLOCK_ROWS = 64
 
 # Sylow 2-subgroup classifications.
 TRIVIAL = "trivial"
@@ -102,16 +104,61 @@ class SylowReport:
     generator: int | None = None
 
 
+def _greedy_generators(rows: Sequence[Sequence[int]], identity: int) -> list[int]:
+    """Generators whose right products, from the identity, reach every element.
+
+    Each generator is the smallest element not yet reached by right-multiplying
+    the reached set by the generators chosen so far.
+    """
+    reached = [False] * len(rows)
+    reached[identity] = True
+    members = [identity]
+    gens: list[int] = []
+    for a in range(len(rows)):
+        if reached[a]:
+            continue
+        gens.append(a)
+        stack = [rows[x][a] for x in members]
+        while stack:
+            y = stack.pop()
+            if not reached[y]:
+                reached[y] = True
+                members.append(y)
+                stack.extend(rows[y][b] for b in gens)
+    return gens
+
+
+def _check_associative(arr: np.ndarray, rows: Sequence[Sequence[int]],
+                       identity: int) -> None:
+    """Light's test: ``(x*a)*y == x*(a*y)`` for every x, y and generator a.
+
+    The elements a that pass for all x, y are closed under the product and
+    include the identity, so they contain everything the generators reach;
+    the check is therefore exact.
+    """
+    n = len(rows)
+    for a in _greedy_generators(rows, identity):
+        right, left = arr[:, a], arr[a]
+        for lo in range(0, n, _ASSOC_BLOCK_ROWS):
+            lhs = arr[right[lo:lo + _ASSOC_BLOCK_ROWS]]   # (x*a)*y
+            rhs = arr[lo:lo + _ASSOC_BLOCK_ROWS][:, left]  # x*(a*y)
+            if not np.array_equal(lhs, rhs):
+                x, y = map(int, np.argwhere(lhs != rhs)[0])
+                x += lo
+                raise NotAssociative(
+                    f"(x*a)*y != x*(a*y) for (x,a,y) = ({x},{a},{y}): "
+                    f"{rows[rows[x][a]][y]} != {rows[x][rows[a][y]]}"
+                )
+
+
 def group_from_table(raw: Sequence[Sequence[int]],
                      names: Sequence[str] | None = None,
                      *,
-                     check_associativity: bool | None = None,
                      label: str = "") -> Group:
     """Validate a raw multiplication table and wrap it as a :class:`Group`.
 
     Raises :class:`NotLatin`, :class:`NoIdentity` or :class:`NotAssociative`
     with the first offending row/element/triple named in the message.
-    ``check_associativity=None`` means "on iff order <= ASSOCIATIVITY_LIMIT".
     """
     rows = [list(map(int, row)) for row in raw]
     n = len(rows)
@@ -149,17 +196,7 @@ def group_from_table(raw: Sequence[Sequence[int]],
         raise NoIdentity("no two-sided identity element")
     identity = int(both[0])
 
-    do_assoc = n <= ASSOCIATIVITY_LIMIT if check_associativity is None else check_associativity
-    if do_assoc:
-        for g in range(n):
-            lhs = arr[arr[g]]        # (g*h)*x
-            rhs = arr[g][arr]        # g*(h*x)
-            if not np.array_equal(lhs, rhs):
-                h, x = map(int, np.argwhere(lhs != rhs)[0])
-                raise NotAssociative(
-                    f"(g*h)*x != g*(h*x) for (g,h,x) = ({g},{h},{x}): "
-                    f"{rows[rows[g][h]][x]} != {rows[g][rows[h][x]]}"
-                )
+    _check_associative(arr, rows, identity)
 
     inv = (arr == identity).argmax(axis=1)
     if not np.array_equal(arr[inv, ident], np.full(n, identity)):

@@ -12,9 +12,9 @@ import os
 from .errors import OrderTooLarge
 
 DEFAULT_GUARDS = {
-    "transversal": 14,       # brute-force transversal search, by order
+    "transversal": 12,       # brute-force transversal search, by order
     "count": 10,             # exhaustive transversal counting, by order
-    "max_partial": 9,        # branch-and-bound maximum partial transversal
+    "max_partial": 9,        # maximum partial transversal search, by order
     "complete_mapping": 16,  # exhaustive complete-mapping search, by order
     "independent_set": 60,   # exact independent-set solver, by vertex count
 }

@@ -1,8 +1,10 @@
 """Latin squares, partial transversals, and the brute-force oracles.
 
 A partial transversal is kept as a plain tuple of ``(row, column)`` cells;
-the symbols are implied by the square. Searches branch row-major with
-ascending column index, so every witness they return is deterministic.
+the symbols are implied by the square. Every exhaustive oracle, including
+:func:`ntk.mappings.find_complete_mapping`, runs the one search kernel
+``_search``: it branches row-major with ascending column index, so every
+witness it returns is deterministic.
 """
 
 from __future__ import annotations
@@ -129,91 +131,76 @@ def cells_from_json(data: Iterable[Sequence[int]],
 
 
 # ---------------------------------------------------------------------------
-# exhaustive oracles (row-major, ascending-column branching throughout)
+# exhaustive oracles: thin wrappers over one search kernel
+
+def _search(rows: Sequence[Sequence[int]], skips: int = 0,
+            count: bool = False) -> tuple[int | None, ...] | int | None:
+    """Partial transversals of the square whose rows are ``rows``.
+
+    Branches row-major, each row on ascending columns first and then, while
+    fewer than ``skips`` rows are uncovered, on leaving the row uncovered.
+    A leaf covers every row but at most ``skips``. Returns the first leaf
+    as the column chosen in each row (``None`` for an uncovered row), or
+    ``None`` when there is no leaf; with ``count=True``, the number of
+    leaves.
+    """
+    n = len(rows)
+    picked: list[int | None] = [None] * n
+
+    def dfs(r: int, used_cols: int, used_syms: int, skips: int) -> int:
+        if r == n:
+            return 1
+        found = 0
+        row = rows[r]
+        for c in range(n):
+            if used_cols >> c & 1:
+                continue
+            s = row[c]
+            if used_syms >> s & 1:
+                continue
+            picked[r] = c
+            found += dfs(r + 1, used_cols | 1 << c, used_syms | 1 << s, skips)
+            if found and not count:
+                return found
+        if skips:
+            picked[r] = None
+            found += dfs(r + 1, used_cols, used_syms, skips - 1)
+        return found
+
+    found = dfs(0, 0, 0, skips)
+    if count:
+        return found
+    return tuple(picked) if found else None
+
 
 def brute_force_transversal(square: LatinSquare, *,
                             guard: int | None = None) -> tuple[Cell, ...] | None:
     """Lexicographically first transversal, or None when none exists."""
-    n = square.n
-    ensure_within("transversal", n, guard)
-    rows = square.cells
-    picked: list[Cell] = []
-
-    def dfs(r: int, used_cols: int, used_syms: int) -> bool:
-        if r == n:
-            return True
-        row = rows[r]
-        for c in range(n):
-            if used_cols >> c & 1:
-                continue
-            s = row[c]
-            if used_syms >> s & 1:
-                continue
-            picked.append((r, c))
-            if dfs(r + 1, used_cols | 1 << c, used_syms | 1 << s):
-                return True
-            picked.pop()
-        return False
-
-    return tuple(picked) if dfs(0, 0, 0) else None
+    ensure_within("transversal", square.n, guard)
+    found = _search(square.cells)
+    return None if found is None else tuple(enumerate(found))
 
 
 def count_transversals(square: LatinSquare, *, guard: int | None = None) -> int:
     """Exact number of transversals, by exhaustive backtracking."""
-    n = square.n
-    ensure_within("count", n, guard)
-    rows = square.cells
-
-    def dfs(r: int, used_cols: int, used_syms: int) -> int:
-        if r == n:
-            return 1
-        total = 0
-        row = rows[r]
-        for c in range(n):
-            if used_cols >> c & 1:
-                continue
-            s = row[c]
-            if used_syms >> s & 1:
-                continue
-            total += dfs(r + 1, used_cols | 1 << c, used_syms | 1 << s)
-        return total
-
-    return dfs(0, 0, 0)
+    ensure_within("count", square.n, guard)
+    return _search(square.cells, count=True)
 
 
 def max_partial_transversal(square: LatinSquare, *,
                             guard: int | None = None) -> tuple[int, tuple[Cell, ...]]:
-    """Exact maximum partial transversal size, with a witness attaining it."""
-    n = square.n
-    ensure_within("max_partial", n, guard)
-    rows = square.cells
-    best_size = 0
-    best_cells: tuple[Cell, ...] = ()
-    acc: list[Cell] = []
+    """Exact maximum partial transversal size, with a witness attaining it.
 
-    def dfs(r: int, used_cols: int, used_syms: int) -> None:
-        nonlocal best_size, best_cells
-        if len(acc) + (n - r) <= best_size:
-            return
-        if r == n:
-            if len(acc) > best_size:
-                best_size = len(acc)
-                best_cells = tuple(acc)
-            return
-        row = rows[r]
-        for c in range(n):
-            if used_cols >> c & 1:
-                continue
-            s = row[c]
-            if used_syms >> s & 1:
-                continue
-            acc.append((r, c))
-            dfs(r + 1, used_cols | 1 << c, used_syms | 1 << s)
-            acc.pop()
-        dfs(r + 1, used_cols, used_syms)  # leave row r uncovered
-
-    dfs(0, 0, 0)
-    return best_size, best_cells
+    Searches with ``d = 0, 1, ...`` uncovered rows and stops at the first
+    ``d`` that has a leaf; the witness is that search's first leaf, which
+    is also the first maximum-size leaf of the unbounded search.
+    """
+    ensure_within("max_partial", square.n, guard)
+    skips = 0
+    while (found := _search(square.cells, skips)) is None:
+        skips += 1
+    cells = tuple((r, c) for r, c in enumerate(found) if c is not None)
+    return len(cells), cells
 
 
 def is_extendable(square: LatinSquare, cells: Sequence[Cell]) -> bool:

@@ -21,6 +21,7 @@ from .errors import (
 )
 from .guards import ensure_within
 from .groups import Group, commutator_subgroup, element_order, is_subgroup
+from .latin import _search
 
 Collision = namedtuple("Collision", "kind i j value")
 
@@ -64,33 +65,16 @@ def find_complete_mapping(group: Group, *,
                           guard: int | None = None) -> tuple[int, ...] | None:
     """Lexicographically first complete mapping, or None when none exists.
 
-    Branches over elements in index order with ascending values, so a found
-    mapping is the smallest one. Absence is certified either by the
-    abelianization test above or by exhausting the search.
+    The graph of a complete mapping is a transversal of the multiplication
+    table, so this is the first transversal of the latin search kernel read
+    row by row: sigma(g) is the column chosen in row g, the smallest mapping.
+    Absence is certified either by the abelianization test above or by
+    exhausting the search.
     """
-    n = group.n
-    ensure_within("complete_mapping", n, guard)
+    ensure_within("complete_mapping", group.n, guard)
     if not _abelianized_product_is_identity(group):
         return None
-    table = group.table
-    sigma = [0] * n
-
-    def dfs(g: int, used_vals: int, used_prods: int) -> bool:
-        if g == n:
-            return True
-        row = table[g]
-        for v in range(n):
-            if used_vals >> v & 1:
-                continue
-            p = row[v]
-            if used_prods >> p & 1:
-                continue
-            sigma[g] = v
-            if dfs(g + 1, used_vals | 1 << v, used_prods | 1 << p):
-                return True
-        return False
-
-    return tuple(sigma) if dfs(0, 0, 0) else None
+    return _search(group.table)
 
 
 def _resolve_members(group: Group, subgroup: Iterable[int] | None) -> list[int]:
@@ -174,7 +158,7 @@ def harmonious_ordering(group: Group,
 def verify_harmonious(group: Group, ordering: Sequence[int],
                       subgroup: Iterable[int] | None = None
                       ) -> tuple[bool, Collision | None]:
-    """Check the successor products (and, for completeness, the squares).
+    """Check that the successor products are pairwise distinct.
 
     Returns ``(True, None)`` or ``(False, first_collision)`` where the
     collision names the two positions whose products coincide.
@@ -193,11 +177,5 @@ def verify_harmonious(group: Group, ordering: Sequence[int],
         p = table[order[i]][order[(i + 1) % m]]
         if p in seen:
             return False, Collision("successor", seen[p], i, p)
-        seen[p] = i
-    seen = {}
-    for i in range(m):
-        p = table[order[i]][order[i]]
-        if p in seen:
-            return False, Collision("square", seen[p], i, p)
         seen[p] = i
     return True, None

@@ -4,6 +4,7 @@ import pytest
 
 import ntk
 from ntk.cli import main
+from ntk.errors import NotAssociative
 
 
 def run(capsys, *argv):
@@ -121,6 +122,26 @@ def test_guard_exit_code(capsys):
     code, _, err = run(capsys, "oracle", "count", "Z12")
     assert code == 3
     assert "guard" in err
+    # the transversal guard stops searches that would run for minutes
+    code, _, err = run(capsys, "oracle", "transversal", "Z14")
+    assert code == 3
+    assert "guard" in err
+
+
+def test_non_associative_table_above_order_512_rejected(capsys, tmp_path):
+    # Z514 with the intercalate on rows and columns 1 and 258 swapped: still
+    # a latin square with identity 0, but not a group table
+    n = 514
+    table = [[(g + h) % n for h in range(n)] for g in range(n)]
+    table[1][1], table[1][258] = table[1][258], table[1][1]
+    table[258][1], table[258][258] = table[258][258], table[258][1]
+    with pytest.raises(NotAssociative):
+        ntk.group_from_table(table)
+    path = tmp_path / "loop514.txt"
+    path.write_text(f"{n}\n" + "".join(" ".join(map(str, row)) + "\n" for row in table))
+    code, out, err = run(capsys, "construct", f"table:{path}")
+    assert code == 1 and not out
+    assert "x*(a*y)" in err
 
 
 def test_guard_override_flag(capsys):

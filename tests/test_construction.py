@@ -206,7 +206,7 @@ def test_near_transversal_sizes_catalog_200():
 
 
 def test_construction_beyond_associativity_threshold():
-    # orders above 512 skip the O(n^3) table check but the pipeline still runs
+    # a table this large is still checked for associativity, over generators
     group = ntk.cyclic(520)
     result = ntk.near_transversal(group)
     assert len(result.cells) == 519

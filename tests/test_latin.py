@@ -89,6 +89,36 @@ def test_max_partial_sizes():
         assert ok and len(witness) == size
 
 
+def _itertools_oracles(rows):
+    """Every transversal as a column tuple, in lexicographic order, and the
+    first maximum partial transversal among the row-by-row choice sequences,
+    each row choosing a column before leaving the row uncovered."""
+    n = len(rows)
+    transversals = [cols for cols in itertools.permutations(range(n))
+                    if len({rows[r][c] for r, c in enumerate(cols)}) == n]
+    best: list = []
+    for choice in itertools.product([*range(n), None], repeat=n):
+        cells = [(r, c) for r, c in enumerate(choice) if c is not None]
+        cols = {c for _, c in cells}
+        syms = {rows[r][c] for r, c in cells}
+        if len(cols) == len(syms) == len(cells) > len(best):
+            best = cells
+    return transversals, tuple(best)
+
+
+def test_oracles_match_itertools_reference_to_order_6():
+    for entry in builtin_catalog(6):
+        group = entry.group
+        square = ntk.cayley_square(group)
+        transversals, witness = _itertools_oracles(group.table)
+        first = transversals[0] if transversals else None
+        assert ntk.brute_force_transversal(square) == (
+            tuple(enumerate(first)) if first else None), entry.label
+        assert ntk.count_transversals(square) == len(transversals), entry.label
+        assert ntk.find_complete_mapping(group) == first, entry.label
+        assert ntk.max_partial_transversal(square) == (len(witness), witness), entry.label
+
+
 def test_transversal_presence_matches_sylow_class_to_order_10():
     from ntk.groups import CYCLIC_NONTRIVIAL
     for entry in builtin_catalog(10):
