@@ -33,8 +33,8 @@ from .groups import (
     CYCLIC_NONTRIVIAL,
     Group,
     SylowReport,
+    _cached_orders,
     conjugation,
-    element_orders,
     is_subgroup,
     subgroup_closure,
     sylow2,
@@ -135,7 +135,8 @@ def decompose(group: Group) -> Decomposition:
     for a cyclic Sylow 2-subgroup this is exactly the normal complement,
     and every property that makes it so is re-checked here (subgroup,
     normality, size, unique factorization), raising
-    :class:`StructureViolation` if any fails.
+    :class:`StructureViolation` if any fails. Normality is checked for
+    conjugation by G's generators, whose products give every element.
     """
     report = sylow2(group)
     if report.classification != CYCLIC_NONTRIVIAL:
@@ -150,7 +151,7 @@ def decompose(group: Group) -> Decomposition:
     assert b is not None
     table = group.table
 
-    orders = element_orders(group)
+    orders = _cached_orders(group)
     odd_part = frozenset(g for g in group.elements() if orders[g] % 2 == 1)
     if len(odd_part) != l:
         raise StructureViolation(
@@ -158,11 +159,10 @@ def decompose(group: Group) -> Decomposition:
         )
     if not is_subgroup(group, odd_part):
         raise StructureViolation("odd-order elements do not form a subgroup")
-    inv = group.inverses
-    for g in group.elements():
-        for h in odd_part:
-            if table[table[g][h]][inv[g]] not in odd_part:
-                raise StructureViolation("odd part is not normal")
+    for g in group.generators:
+        row, g_inv = table[g], group.inverses[g]
+        if any(table[row[h]][g_inv] not in odd_part for h in odd_part):
+            raise StructureViolation("odd part is not normal")
 
     gen_powers = []
     x = group.identity

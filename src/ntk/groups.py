@@ -9,13 +9,22 @@ shared freely across threads.
 Validation is always on: the latin property, a two-sided identity, and
 associativity are checked at every order before a :class:`Group` is handed
 out. Associativity is checked by Light's test over a generating set, which
-is exact and costs O(n^2) per generator.
+is exact and costs O(n^2) per generator; that generating set is kept on
+the group. Tables are validated, and the built-in constructors build them,
+as numpy arrays, but a group holds its table as tuples whose n^2 entries
+share n int objects.
+
+Structural facts are computed once and checked over generators: element
+orders are cached on the group on first use, and subgroup tests and
+closures grow a set by right products with a generating set, which is
+exact in a finite group and costs O(|S|) per generator.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from math import gcd
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -46,7 +55,9 @@ class Group:
     ``table[g][h]`` is the index of the product ``g*h``. ``names`` holds one
     whitespace-free display string per element; ``label`` is a cosmetic tag
     (e.g. the CLI group string that produced the group) and never
-    participates in comparisons.
+    participates in comparisons. ``generators`` is the greedy generating
+    set that validation found: every element is a product of them, so
+    closure and normality hold for all of G once they hold for these.
     """
 
     n: int
@@ -54,8 +65,10 @@ class Group:
     identity: int
     names: tuple[str, ...]
     inverses: tuple[int, ...] = field(compare=False)
+    generators: tuple[int, ...] = field(compare=False)
     label: str = field(default="", compare=False)
     _index_of: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _orders: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._index_of.update({name: i for i, name in enumerate(self.names)})
@@ -104,32 +117,37 @@ class SylowReport:
     generator: int | None = None
 
 
-def _greedy_generators(rows: Sequence[Sequence[int]], identity: int) -> list[int]:
-    """Generators whose right products, from the identity, reach every element.
+def _generate(table: Sequence[Sequence[int]], identity: int, candidates: Iterable[int],
+              within: set[int] | None = None) -> tuple[list[int], set[int]] | None:
+    """Greedy generators taken from ``candidates``, and the subgroup they generate.
 
-    Each generator is the smallest element not yet reached by right-multiplying
-    the reached set by the generators chosen so far.
+    Each candidate not yet reached becomes a generator, and the reached set
+    grows by right products with the generators until it is closed under
+    them; started from the identity in a finite group, that closure is the
+    subgroup the generators generate. Returns None as soon as a product
+    falls outside ``within``, when it is given.
     """
-    reached = [False] * len(rows)
-    reached[identity] = True
-    members = [identity]
+    reached = {identity}
     gens: list[int] = []
-    for a in range(len(rows)):
-        if reached[a]:
+    for a in candidates:
+        if a in reached:
             continue
         gens.append(a)
-        stack = [rows[x][a] for x in members]
+        stack = [table[x][a] for x in reached]
         while stack:
             y = stack.pop()
-            if not reached[y]:
-                reached[y] = True
-                members.append(y)
-                stack.extend(rows[y][b] for b in gens)
-    return gens
+            if y in reached:
+                continue
+            if within is not None and y not in within:
+                return None
+            reached.add(y)
+            row = table[y]
+            stack.extend([row[b] for b in gens])
+    return gens, reached
 
 
 def _check_associative(arr: np.ndarray, rows: Sequence[Sequence[int]],
-                       identity: int) -> None:
+                       gens: Sequence[int]) -> None:
     """Light's test: ``(x*a)*y == x*(a*y)`` for every x, y and generator a.
 
     The elements a that pass for all x, y are closed under the product and
@@ -137,7 +155,7 @@ def _check_associative(arr: np.ndarray, rows: Sequence[Sequence[int]],
     the check is therefore exact.
     """
     n = len(rows)
-    for a in _greedy_generators(rows, identity):
+    for a in gens:
         right, left = arr[:, a], arr[a]
         for lo in range(0, n, _ASSOC_BLOCK_ROWS):
             lhs = arr[right[lo:lo + _ASSOC_BLOCK_ROWS]]   # (x*a)*y
@@ -151,43 +169,46 @@ def _check_associative(arr: np.ndarray, rows: Sequence[Sequence[int]],
                 )
 
 
-def group_from_table(raw: Sequence[Sequence[int]],
+def _first_repeat(lines: Iterable[Iterable[int]]) -> tuple[int, int]:
+    """The first line that repeats a symbol, and the first symbol it repeats."""
+    for i, line in enumerate(lines):
+        seen = set()
+        for v in line:
+            if v in seen:
+                return i, v
+            seen.add(v)
+    raise AssertionError("no line repeats a symbol")
+
+
+def group_from_table(raw: np.ndarray | Sequence[Sequence[int]],
                      names: Sequence[str] | None = None,
                      *,
                      label: str = "") -> Group:
     """Validate a raw multiplication table and wrap it as a :class:`Group`.
 
-    Raises :class:`NotLatin`, :class:`NoIdentity` or :class:`NotAssociative`
-    with the first offending row/element/triple named in the message.
+    ``raw`` is an n x n integer array or n rows of n integers. Raises
+    :class:`NotLatin`, :class:`NoIdentity` or :class:`NotAssociative` with
+    the first offending row/element/triple named in the message.
     """
-    rows = [list(map(int, row)) for row in raw]
-    n = len(rows)
+    n = len(raw)
     if n == 0:
         raise NotLatin("empty table")
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise NotLatin(f"row {i} has length {len(row)}, expected {n}")
-    arr = np.asarray(rows, dtype=np.int64)
+    if not isinstance(raw, np.ndarray):
+        for i, row in enumerate(raw):
+            if len(row) != n:
+                raise NotLatin(f"row {i} has length {len(row)}, expected {n}")
+    arr = np.asarray(raw, dtype=np.int64)
+    if arr.shape != (n, n):
+        raise NotLatin(f"table of shape {arr.shape} is not {n} x {n}")
     if arr.min() < 0 or arr.max() >= n:
         g, h = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
-        raise NotLatin(f"entry table[{g}][{h}] = {rows[g][h]} outside [0, {n})")
+        raise NotLatin(f"entry table[{g}][{h}] = {arr[g, h]} outside [0, {n})")
 
     ident = np.arange(n)
     if not np.array_equal(np.sort(arr, axis=1), np.broadcast_to(ident, arr.shape)):
-        for g in range(n):
-            seen = set()
-            for v in rows[g]:
-                if v in seen:
-                    raise NotLatin(f"row {g} repeats symbol {v}")
-                seen.add(v)
+        raise NotLatin("row %d repeats symbol %d" % _first_repeat(arr.tolist()))
     if not np.array_equal(np.sort(arr, axis=0), np.broadcast_to(ident[:, None], arr.shape)):
-        for h in range(n):
-            seen = set()
-            for g in range(n):
-                v = rows[g][h]
-                if v in seen:
-                    raise NotLatin(f"column {h} repeats symbol {v}")
-                seen.add(v)
+        raise NotLatin("column %d repeats symbol %d" % _first_repeat(arr.T.tolist()))
 
     is_row_id = (arr == ident).all(axis=1)
     is_col_id = (arr.T == ident).all(axis=1)
@@ -196,7 +217,12 @@ def group_from_table(raw: Sequence[Sequence[int]],
         raise NoIdentity("no two-sided identity element")
     identity = int(both[0])
 
-    _check_associative(arr, rows, identity)
+    # Row by row, every entry is looked up in ``pool``, so the n^2 entries of
+    # the table share its n int objects instead of holding one each.
+    pool = np.arange(n).astype(object)
+    table = tuple(tuple(pool[row].tolist()) for row in arr)
+    generators, _ = _generate(table, identity, range(n))
+    _check_associative(arr, table, generators)
 
     inv = (arr == identity).argmax(axis=1)
     if not np.array_equal(arr[inv, ident], np.full(n, identity)):
@@ -216,10 +242,11 @@ def group_from_table(raw: Sequence[Sequence[int]],
 
     return Group(
         n=n,
-        table=tuple(tuple(row) for row in rows),
+        table=table,
         identity=identity,
         names=names,
-        inverses=tuple(int(x) for x in inv),
+        inverses=tuple(inv.tolist()),
+        generators=tuple(generators),
         label=label,
     )
 
@@ -279,7 +306,15 @@ def cyclic(n: int, gen: str = "c") -> Group:
     r = np.arange(n)
     table = (r[:, None] + r[None, :]) % n
     names = [_pow_word(gen, i) for i in range(n)]
-    return group_from_table(table.tolist(), names, label=f"Z{n}")
+    return group_from_table(table, names, label=f"Z{n}")
+
+
+def _word_exponents(size: int) -> tuple[np.ndarray, ...]:
+    """Exponents (j, i) of the element ``j*size + i``, 0 <= j < 2, as column
+    vectors for the left factor and row vectors for the right one."""
+    idx = np.arange(2 * size)
+    j, i = idx // size, idx % size
+    return j[:, None], i[:, None], j[None, :], i[None, :]
 
 
 def dihedral(n: int, gens: tuple[str, str] = ("r", "s")) -> Group:
@@ -290,15 +325,8 @@ def dihedral(n: int, gens: tuple[str, str] = ("r", "s")) -> Group:
     if n < 1:
         raise ValueError("order parameter must be positive")
     rg, sg = gens
-    size = 2 * n
-    table = [[0] * size for _ in range(size)]
-    for j1 in range(2):
-        for i1 in range(n):
-            for j2 in range(2):
-                for i2 in range(n):
-                    j = (j1 + j2) % 2
-                    i = ((i1 if j2 == 0 else -i1) + i2) % n
-                    table[j1 * n + i1][j2 * n + i2] = j * n + i
+    j1, i1, j2, i2 = _word_exponents(n)
+    table = (j1 ^ j2) * n + (np.where(j2 == 0, i1, -i1) + i2) % n
     names = [_concat_words((_pow_word(sg, j), _pow_word(rg, i)))
              for j in range(2) for i in range(n)]
     return group_from_table(table, names, label=f"D{n}")
@@ -313,17 +341,8 @@ def dicyclic(n: int, gens: tuple[str, str] = ("a", "x")) -> Group:
         raise ValueError("order parameter must be positive")
     ag, xg = gens
     two_n = 2 * n
-    size = 4 * n
-    table = [[0] * size for _ in range(size)]
-    for j1 in range(2):
-        for i1 in range(two_n):
-            for j2 in range(2):
-                for i2 in range(two_n):
-                    i = (i1 + (i2 if j1 == 0 else -i2)) % two_n
-                    if j1 and j2:
-                        i = (i + n) % two_n
-                    j = (j1 + j2) % 2
-                    table[j1 * two_n + i1][j2 * two_n + i2] = j * two_n + i
+    j1, i1, j2, i2 = _word_exponents(two_n)
+    table = (j1 ^ j2) * two_n + (i1 + np.where(j1 == 0, i2, -i2) + n * (j1 & j2)) % two_n
     names = [_concat_words((_pow_word(ag, i), xg if j else "1"))
              for j in range(2) for i in range(two_n)]
     return group_from_table(table, names, label=f"Dic{n}")
@@ -338,27 +357,25 @@ def symmetric(n: int) -> Group:
     if n < 1:
         raise ValueError("degree must be positive")
     perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(p[q[i]] for i in range(n))] for q in perms]
-        for p in perms
-    ]
+    arr = np.array(perms)
+    # Base-n codes of the permutations increase in lexicographic order, so a
+    # product's index is the position of its code among them.
+    weights = n ** np.arange(n - 1, -1, -1)
+    codes = arr @ weights
+    table = np.stack([np.searchsorted(codes, p[arr] @ weights) for p in arr])
     names = [_cycle_notation(p) for p in perms]
     return group_from_table(table, names, label=f"S{n}")
 
 
 def direct_product(a: Group, b: Group, label: str = "") -> Group:
     """Direct product; element ``i*|b| + j`` is the pair (a_i, b_j)."""
-    nb = b.n
-    table = [
-        [a.table[a1][a2] * nb + b.table[b1][b2]
-         for a2 in range(a.n) for b2 in range(nb)]
-        for a1 in range(a.n) for b1 in range(nb)
-    ]
+    n, nb = a.n * b.n, b.n
+    # axes: (a1, b1, a2, b2) for the product of (a1, b1) by (a2, b2)
+    table = np.array(a.table)[:, None, :, None] * nb + np.array(b.table)[None, :, None, :]
     names = _product_names(a.names, b.names)
     if not label and a.label and b.label:
         label = f"{a.label} x {b.label}"
-    return group_from_table(table, names, label=label)
+    return group_from_table(table.reshape(n, n), names, label=label)
 
 
 def semidirect(k_part: Group, h_part: Group,
@@ -377,42 +394,32 @@ def semidirect(k_part: Group, h_part: Group,
     nk, nh = k_part.n, h_part.n
     if len(action) != nk:
         raise InvalidAction(f"expected {nk} permutations, got {len(action)}")
-    acts = []
     for ki, perm in enumerate(action):
-        p = tuple(int(x) for x in perm)
-        if sorted(p) != list(range(nh)):
+        if sorted(int(x) for x in perm) != list(range(nh)):
             raise InvalidAction(f"action[{ki}] is not a permutation of 0..{nh - 1}")
-        acts.append(p)
+    acts = np.array([[int(x) for x in perm] for perm in action], dtype=np.int64)
+    tk, th = np.array(k_part.table), np.array(h_part.table)
     for ki, p in enumerate(acts):
         if p[h_part.identity] != h_part.identity:
             raise InvalidAction(f"action[{ki}] moves the identity")
-        for x in range(nh):
-            for y in range(nh):
-                if p[h_part.table[x][y]] != h_part.table[p[x]][p[y]]:
-                    raise InvalidAction(
-                        f"action[{ki}] is not an automorphism: images of "
-                        f"{x}*{y} disagree"
-                    )
+        bad = p[th] != th[p[:, None], p[None, :]]  # p(x*y) != p(x)*p(y)
+        if bad.any():
+            x, y = map(int, np.argwhere(bad)[0])
+            raise InvalidAction(
+                f"action[{ki}] is not an automorphism: images of {x}*{y} disagree"
+            )
     for k1 in range(nk):
-        for k2 in range(nk):
-            composed = tuple(acts[k1][acts[k2][h]] for h in range(nh))
-            if composed != acts[k_part.table[k1][k2]]:
-                raise InvalidAction(
-                    f"action is not a homomorphism at K elements ({k1},{k2})"
-                )
+        bad = (acts[k1][acts] != acts[tk[k1]]).any(axis=1)  # over k2
+        if bad.any():
+            k2 = int(np.flatnonzero(bad)[0])
+            raise InvalidAction(f"action is not a homomorphism at K elements ({k1},{k2})")
 
-    table = [[0] * (nk * nh) for _ in range(nk * nh)]
-    for k1 in range(nk):
-        for h1 in range(nh):
-            row = table[k1 * nh + h1]
-            for k2 in range(nk):
-                tw = acts[k_part.inverses[k2]][h1]
-                kk = k_part.table[k1][k2] * nh
-                hrow = h_part.table[tw]
-                for h2 in range(nh):
-                    row[k2 * nh + h2] = kk + hrow[h2]
+    n = nk * nh
+    # twisted[k2, h1] = action[inv(k2)](h1); axes: (k1, h1, k2, h2)
+    twisted = acts[list(k_part.inverses)]
+    table = tk[:, None, :, None] * nh + th[twisted.T][None, :, :, :]
     names = _product_names(k_part.names, h_part.names)
-    return group_from_table(table, names, label=label)
+    return group_from_table(table.reshape(n, n), names, label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +437,38 @@ def element_order(group: Group, g: int) -> int:
     return order
 
 
+def _cached_orders(group: Group) -> list[int]:
+    """The order of every element, computed on first use and cached on the
+    group; callers read the list and must not change it.
+
+    One walk of each cyclic subgroup <g> not yet covered gives every power
+    g^j its order o // gcd(j, o), where o is the order of g.
+    """
+    cache = group._orders
+    if not cache:
+        orders = [0] * group.n
+        table, e = group.table, group.identity
+        for g in group.elements():
+            if orders[g]:
+                continue
+            powers = [e]
+            x = g
+            while x != e:
+                powers.append(x)
+                x = table[x][g]
+            o = len(powers)
+            for j, x in enumerate(powers):
+                if not orders[x]:
+                    orders[x] = o // gcd(j, o)
+        # One slice assignment fills the cache, so a thread never sees it
+        # half written.
+        cache[:] = orders
+    return cache
+
+
 def element_orders(group: Group) -> list[int]:
-    return [element_order(group, g) for g in group.elements()]
+    """The order of every element, a copy of the group's cached list."""
+    return list(_cached_orders(group))
 
 
 def order_signature(group: Group) -> tuple[tuple[int, int], ...]:
@@ -441,34 +478,26 @@ def order_signature(group: Group) -> tuple[tuple[int, int], ...]:
     cross-check independent constructions of the same group.
     """
     counts: dict[int, int] = {}
-    for o in element_orders(group):
+    for o in _cached_orders(group):
         counts[o] = counts.get(o, 0) + 1
     return tuple(sorted(counts.items()))
 
 
 def subgroup_closure(group: Group, seed: Iterable[int]) -> frozenset[int]:
-    """Smallest subgroup containing ``seed``, by BFS closure."""
-    members = {group.identity}
-    members.update(seed)
-    frontier = list(members)
-    table = group.table
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in list(members):
-                for p in (table[g][h], table[h][g]):
-                    if p not in members:
-                        members.add(p)
-                        nxt.append(p)
-        frontier = nxt
+    """Smallest subgroup containing ``seed``."""
+    _, members = _generate(group.table, group.identity, seed)
     return frozenset(members)
 
 
 def is_subgroup(group: Group, members: Iterable[int]) -> bool:
+    """Whether ``members`` is a subgroup, checked over a generating set of it.
+
+    A greedy generating set of S reaches all of S; if S is closed under
+    right products with each generator, S is what they generate.
+    """
     s = set(members)
-    if group.identity not in s:
-        return False
-    return all(group.table[a][b] in s for a in s for b in s)
+    return (group.identity in s
+            and _generate(group.table, group.identity, s, within=s) is not None)
 
 
 def conjugation(group: Group, a: int) -> tuple[int, ...]:
@@ -506,7 +535,7 @@ def sylow2(group: Group) -> SylowReport:
         k *= 2
     if k == 1:
         return SylowReport(frozenset({group.identity}), 1, TRIVIAL)
-    orders = element_orders(group)
+    orders = _cached_orders(group)
     for g in group.elements():
         if orders[g] == k:
             return SylowReport(subgroup_closure(group, {g}), k, CYCLIC_NONTRIVIAL, g)

@@ -20,7 +20,7 @@ from .errors import (
     StructureViolation,
 )
 from .guards import ensure_within
-from .groups import Group, commutator_subgroup, element_order, is_subgroup
+from .groups import Group, _cached_orders, commutator_subgroup, is_subgroup
 from .latin import _search
 
 Collision = namedtuple("Collision", "kind i j value")
@@ -105,7 +105,8 @@ def harmonious_ordering(group: Group,
 
     gen = None
     if closed_form:
-        gen = next((g for g in members if element_order(group, g) == m), None)
+        orders = _cached_orders(group)
+        gen = next((g for g in members if orders[g] == m), None)
     if gen is not None:
         ordering = []
         x = group.identity

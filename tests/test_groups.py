@@ -1,11 +1,32 @@
+import itertools
+import sys
+import threading
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ntk
+from ntk import catalog, groups
 from ntk.catalog import builtin_catalog
 from ntk.errors import InvalidAction, NoIdentity, NotAssociative, NotLatin
 from ntk.groups import CYCLIC_NONTRIVIAL, NON_CYCLIC, TRIVIAL
+
+REPEATED_ROW = [[0, 1], [1, 1]]
+OUT_OF_RANGE = [[0, 2], [2, 0]]
+# latin (every element idempotent) but no identity row/column
+IDEMPOTENT = [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
+# a latin square with identity that is not a group table
+NON_ASSOCIATIVE_LOOP = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 3, 4, 0, 1],
+    [3, 4, 1, 2, 0],
+    [4, 2, 0, 1, 3],
+]
+INVALID_TABLES = [REPEATED_ROW, OUT_OF_RANGE, IDEMPOTENT, NON_ASSOCIATIVE_LOOP,
+                  [[0, 1], [0, 1]], [[0, -1], [1, 0]]]
 
 
 def small_catalog():
@@ -34,31 +55,54 @@ def test_identity_need_not_be_zero():
 
 def test_not_latin_names_offending_row():
     with pytest.raises(NotLatin, match="row 1"):
-        ntk.group_from_table([[0, 1], [1, 1]])
+        ntk.group_from_table(REPEATED_ROW)
 
 
 def test_out_of_range_entry():
     with pytest.raises(NotLatin, match="outside"):
-        ntk.group_from_table([[0, 2], [2, 0]])
+        ntk.group_from_table(OUT_OF_RANGE)
 
 
 def test_no_identity():
-    # latin (every element idempotent) but no identity row/column
     with pytest.raises(NoIdentity):
-        ntk.group_from_table([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+        ntk.group_from_table(IDEMPOTENT)
 
 
 def test_not_associative_names_triple():
-    # a latin square with identity that is not a group table
-    raw = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 3, 4, 0, 1],
-        [3, 4, 1, 2, 0],
-        [4, 2, 0, 1, 3],
-    ]
     with pytest.raises(NotAssociative):
+        ntk.group_from_table(NON_ASSOCIATIVE_LOOP)
+
+
+def test_short_row_named():
+    with pytest.raises(NotLatin, match="row 1 has length 1, expected 2"):
+        ntk.group_from_table([[0, 1], [1]])
+
+
+def _raised(raw):
+    with pytest.raises(Exception) as info:
         ntk.group_from_table(raw)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("raw", INVALID_TABLES)
+def test_array_and_nested_list_raise_alike(raw):
+    assert _raised(np.array(raw)) == _raised(raw)
+
+
+def test_array_and_nested_list_give_equal_groups():
+    for entry in small_catalog():
+        g = entry.group
+        from_list = ntk.group_from_table([list(row) for row in g.table], g.names)
+        from_array = ntk.group_from_table(np.array(g.table), g.names)
+        assert from_array == from_list
+        for attr in ("table", "identity", "inverses", "names", "generators"):
+            assert getattr(from_array, attr) == getattr(from_list, attr)
+
+
+def test_table_entries_share_one_int_per_element():
+    # n int objects, not n^2: at n = 2048 separate ints would cost ~100 MB
+    table = ntk.cyclic(1000).table
+    assert len({id(x) for row in table for x in row}) == 1000
 
 
 def test_round_trip_catalog():
@@ -125,6 +169,34 @@ def test_semidirect_rejects_non_homomorphism():
         ntk.semidirect(ntk.cyclic(2), ntk.cyclic(5), [ident, double])
 
 
+def _mult(n, factor):
+    return tuple(factor * i % n for i in range(n))
+
+
+@pytest.mark.parametrize("k_part, h_part, action, message", [
+    (ntk.cyclic(2), ntk.cyclic(7), [_mult(7, 1), (0, 1, 2, 3, 4, 6, 5)],
+     "action[1] is not an automorphism: images of 1*4 disagree"),
+    (ntk.cyclic(3), ntk.cyclic(7), [_mult(7, 1), _mult(7, 2), (0, 1, 2, 3, 4, 6, 5)],
+     "action[2] is not an automorphism: images of 1*4 disagree"),
+    (ntk.cyclic(3), ntk.cyclic(3), [(0, 1, 2), (0, 2, 1), (1, 0, 2)],
+     "action[2] moves the identity"),
+    (ntk.cyclic(3), ntk.cyclic(3), [(0, 1, 2), (0, 2, 1), (0, 2, 2)],
+     "action[2] is not a permutation of 0..2"),
+    (ntk.cyclic(3), ntk.cyclic(3), [(0, 1, 2)], "expected 3 permutations, got 1"),
+    (ntk.cyclic(4), ntk.cyclic(5), [_mult(5, 1), _mult(5, 2), _mult(5, 4), _mult(5, 4)],
+     "action is not a homomorphism at K elements (1,2)"),
+    (ntk.cyclic(6), ntk.cyclic(7), [_mult(7, 3 ** k) for k in range(5)] + [_mult(7, 2)],
+     "action is not a homomorphism at K elements (1,4)"),
+    (ntk.direct_product(ntk.cyclic(2), ntk.cyclic(2)), ntk.cyclic(7),
+     [_mult(7, 1), _mult(7, 6), _mult(7, 2), _mult(7, 5)],
+     "action is not a homomorphism at K elements (2,2)"),
+])
+def test_semidirect_names_first_offending_pair(k_part, h_part, action, message):
+    with pytest.raises(InvalidAction) as info:
+        ntk.semidirect(k_part, h_part, action)
+    assert str(info.value) == message
+
+
 def test_word_presentation_relations():
     from ntk.catalog import _s3_times_cyclic
     g = _s3_times_cyclic(3)
@@ -140,6 +212,57 @@ def test_dihedral_relation():
     g = ntk.dihedral(5)
     r, s = g.index_of("r"), g.index_of("s")
     assert g.mul(g.mul(s, r), s) == g.inv(r)
+
+
+def test_dihedral_and_dicyclic_tables_match_word_formulas():
+    for n in range(1, 31):
+        d = ntk.dihedral(n).table
+        q = ntk.dicyclic(n).table
+        for j1, i1, j2, i2 in itertools.product(range(2), range(n), range(2), range(n)):
+            # s^j1 r^i1 . s^j2 r^i2 = s^(j1+j2) r^(+-i1 + i2)
+            i = ((i1 if j2 == 0 else -i1) + i2) % n
+            assert d[j1 * n + i1][j2 * n + i2] == (j1 + j2) % 2 * n + i
+        for j1, i1, j2, i2 in itertools.product(range(2), range(2 * n), range(2),
+                                                range(2 * n)):
+            # a^i1 x^j1 . a^i2 x^j2 = a^(i1 +- i2 + n [j1 = j2 = 1]) x^(j1+j2)
+            i = (i1 + (i2 if j1 == 0 else -i2) + (n if j1 and j2 else 0)) % (2 * n)
+            assert q[j1 * 2 * n + i1][j2 * 2 * n + i2] == (j1 + j2) % 2 * 2 * n + i
+
+
+def test_symmetric_table_composes_permutations():
+    for n in range(1, 6):
+        perms = list(itertools.permutations(range(n)))
+        table = ntk.symmetric(n).table
+        for a, p in enumerate(perms):
+            for b, q in enumerate(perms):
+                assert perms[table[a][b]] == tuple(p[q[i]] for i in range(n))
+
+
+def test_catalog_products_match_their_rules(monkeypatch):
+    calls = []
+
+    def recording(build):
+        def wrapper(*args, **kwargs):
+            out = build(*args, **kwargs)
+            calls.append((build, args, out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(catalog, "direct_product", recording(groups.direct_product))
+    monkeypatch.setattr(catalog, "semidirect", recording(groups.semidirect))
+    catalog.builtin_catalog.__wrapped__(200)
+    assert {build for build, _, _ in calls} == {groups.direct_product, groups.semidirect}
+    for build, args, out in calls:
+        a, b = args[:2]
+        nb = b.n
+        for x1, y1, x2, y2 in itertools.product(range(a.n), range(nb), range(a.n), range(nb)):
+            if build is groups.direct_product:
+                expected = a.table[x1][x2] * nb + b.table[y1][y2]
+            else:
+                # (k1, h1) * (k2, h2) = (k1*k2, action[inv(k2)](h1) * h2)
+                twisted = args[2][a.inverses[x2]][y1]
+                expected = a.table[x1][x2] * nb + b.table[twisted][y2]
+            assert out.table[x1 * nb + y1][x2 * nb + y2] == expected
 
 
 def test_dicyclic_relations():
@@ -159,6 +282,48 @@ def test_element_order_examples():
     s3 = ntk.symmetric(3)
     transpositions = [g for g in s3.elements() if ntk.element_order(s3, g) == 2]
     assert len(transpositions) == 3
+
+
+def test_cached_element_orders_match_per_element_walk():
+    from ntk.groupspec import parse_group_spec
+    large = [parse_group_spec(spec)[0] for spec in ("Z2030", "D509", "S3 x Z169")]
+    for g in [entry.group for entry in builtin_catalog(200)] + large:
+        assert ntk.element_orders(g) == [ntk.element_order(g, x) for x in g.elements()]
+
+
+def test_element_orders_returns_a_copy():
+    g = ntk.dihedral(5)
+    orders = ntk.element_orders(g)
+    orders[1] = 99
+    assert ntk.element_orders(g) == [1, 5, 5, 5, 5, 2, 2, 2, 2, 2]
+
+
+def test_element_orders_shared_across_threads():
+    # the cache is filled on first use; threads racing to fill it must all
+    # see the full list, never a half-written or doubled one
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            g = ntk.cyclic(600)
+            start = threading.Barrier(6)
+            results = []
+
+            def read():
+                start.wait(timeout=10)
+                results.append(ntk.element_orders(g))
+
+            threads = [threading.Thread(target=read) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            expected = [ntk.element_order(g, x) for x in g.elements()]
+            assert results == [expected] * 6
+            assert ntk.element_orders(g) == expected
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_lagrange_over_catalog():
@@ -246,6 +411,51 @@ def test_closure_examples():
     t = next(g for g in s3.elements() if orders[g] == 2)
     r = next(g for g in s3.elements() if orders[g] == 3)
     assert len(ntk.subgroup_closure(s3, {t, r})) == 6
+
+
+def _closed(g, s):
+    return g.identity in s and all(g.table[a][b] in s for a in s for b in s)
+
+
+def _two_sided_closure(g, seed):
+    members = {g.identity, *seed}
+    frontier = list(members)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in list(members):
+                for p in (g.table[x][y], g.table[y][x]):
+                    if p not in members:
+                        members.add(p)
+                        nxt.append(p)
+        frontier = nxt
+    return frozenset(members)
+
+
+def test_is_subgroup_matches_pairwise_closure_to_order_8():
+    for entry in builtin_catalog(8):
+        g = entry.group
+        others = [x for x in g.elements() if x != g.identity]
+        for r in range(len(others) + 1):
+            for subset in itertools.combinations(others, r):
+                s = {g.identity, *subset}
+                assert groups.is_subgroup(g, s) == _closed(g, s), (entry.label, s)
+        assert not groups.is_subgroup(g, others)
+
+
+DRAWN_FROM = {"S4": ntk.symmetric(4), "D12": ntk.dihedral(12)}
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_is_subgroup_and_closure_on_drawn_subsets(data):
+    g = DRAWN_FROM[data.draw(st.sampled_from(sorted(DRAWN_FROM)))]
+    seed = data.draw(st.sets(st.integers(0, g.n - 1), max_size=5))
+    s = {g.identity, *seed}
+    assert groups.is_subgroup(g, s) == _closed(g, s)
+    closure = ntk.subgroup_closure(g, seed)
+    assert closure == _two_sided_closure(g, seed)
+    assert groups.is_subgroup(g, closure) and _closed(g, closure)
 
 
 def test_commutator_subgroup():
