@@ -72,7 +72,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
         "class": report.classification,
     }
     if report.classification == CYCLIC_NONTRIVIAL:
-        dec = construction.decompose(group)
+        dec = construction.decompose(group, report=report)
         ordering = mappings.harmonious_ordering(group, dec.fixed_part)
         payload.update({
             "generator": group.names[dec.sylow_gen],
@@ -113,7 +113,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             "applies only to the cyclic nontrivial case of the dichotomy"
         )
     ordering = _parse_ordering(group, cfg.ordering) if cfg.ordering else None
-    dec = construction.decompose(group)
+    dec = construction.decompose(group, report=report)
     witness = construction.build_witness(dec, ordering)
     square = latin.cayley_square(group)
     wreport = graphs.check_witness(square, witness)

@@ -128,7 +128,7 @@ class ConstructionResult:
     verified: bool = False
 
 
-def decompose(group: Group) -> Decomposition:
+def decompose(group: Group, *, report: SylowReport | None = None) -> Decomposition:
     """Split a cyclic-nontrivial-Sylow group over its odd-order normal part.
 
     The odd part is computed directly as the set of odd-order elements;
@@ -137,8 +137,11 @@ def decompose(group: Group) -> Decomposition:
     normality, size, unique factorization), raising
     :class:`StructureViolation` if any fails. Normality is checked for
     conjugation by G's generators, whose products give every element.
+    ``report`` is the group's :func:`sylow2` report when the caller has
+    one already; it is computed here otherwise.
     """
-    report = sylow2(group)
+    if report is None:
+        report = sylow2(group)
     if report.classification != CYCLIC_NONTRIVIAL:
         raise NotApplicable(
             f"Sylow 2-subgroup is {report.classification}; the ladder "
@@ -335,7 +338,7 @@ def near_transversal(group: Group, *,
     n = group.n
     k = report.k
     if report.classification == CYCLIC_NONTRIVIAL:
-        dec = decompose(group)
+        dec = decompose(group, report=report)
         witness = build_witness(dec, ordering)
         cells = extract_near_transversal(witness)
         return ConstructionResult(

@@ -83,11 +83,16 @@ def induced_subgraph(square: LatinSquare, cells: Sequence[Cell]) -> LabeledGraph
 
 def max_independent_set(graph: LabeledGraph, *,
                         guard: int | None = None) -> tuple[int, tuple[Cell, ...]]:
-    """Exact maximum independent set by branch and bound.
+    """Exact maximum independent set, by exhaustive branching with a memo.
 
-    Branches on a maximum-degree vertex; once every degree in a component
-    drops to 2 the remainder is a disjoint union of paths and cycles and is
-    solved in closed form. Guarded by vertex count.
+    Splits the vertex set into connected components and branches on a
+    maximum-degree vertex of each (take it, or leave it out); once every
+    degree in a component drops to 2 the remainder is a disjoint union of
+    paths and cycles and is solved in closed form. There is no bound: the
+    search stays exact by solving each vertex set that it meets once, in a
+    memo local to the call. The result depends on the vertex set alone, so
+    the memo changes neither the size nor the witness. Guarded by vertex
+    count.
     """
     n = len(graph.vertices)
     ensure_within("independent_set", n, guard, error=TooLarge)
@@ -145,26 +150,30 @@ def max_independent_set(graph: LabeledGraph, *,
             best_size += take
         return best_size, chosen
 
+    solved: dict[int, tuple[int, int]] = {0: (0, 0)}
+
     def solve(mask: int) -> tuple[int, int]:
-        if mask == 0:
-            return 0, 0
+        if mask in solved:
+            return solved[mask]
         comp = component(mask)
         if comp != mask:
             s1, c1 = solve(comp)
             s2, c2 = solve(mask ^ comp)
-            return s1 + s2, c1 | c2
-        pick, pick_deg = -1, -1
-        for v in bits(mask):
-            d = (adj[v] & mask).bit_count()
-            if d > pick_deg:
-                pick, pick_deg = v, d
-        if pick_deg <= 2:
-            return solve_sparse(mask)
-        s_in, c_in = solve(mask & ~(adj[pick] | (1 << pick)))
-        s_in += 1
-        c_in |= 1 << pick
-        s_out, c_out = solve(mask & ~(1 << pick))
-        return (s_in, c_in) if s_in >= s_out else (s_out, c_out)
+            best = s1 + s2, c1 | c2
+        else:
+            pick, pick_deg = -1, -1
+            for v in bits(mask):
+                d = (adj[v] & mask).bit_count()
+                if d > pick_deg:
+                    pick, pick_deg = v, d
+            if pick_deg <= 2:
+                best = solve_sparse(mask)
+            else:
+                s_in, c_in = solve(mask & ~(adj[pick] | (1 << pick)))
+                s_out, c_out = solve(mask & ~(1 << pick))
+                best = (s_in + 1, c_in | 1 << pick) if s_in + 1 >= s_out else (s_out, c_out)
+        solved[mask] = best
+        return best
 
     size, chosen = solve(full)
     witness = tuple(graph.vertices[v] for v in bits(chosen))

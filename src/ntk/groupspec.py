@@ -11,7 +11,9 @@
                                       0..|H|-1 (images, space-separated)
 
 Atoms are case-insensitive. Parse failures raise :class:`ParseError` with
-the character position of the offending token.
+the character position of the offending token. Every route, the table
+file included, is refused as a parse failure past ``MAX_SPEC_ORDER``
+elements, before any table is built or read.
 """
 
 from __future__ import annotations
@@ -83,6 +85,19 @@ def load_action(path: str | Path) -> list[list[int]]:
     return [[int(x) for x in ln.split()] for ln in lines]
 
 
+def _table_order(path: str) -> int:
+    """The order on the first non-blank line of a table file, read before
+    any row; 0 when that line is not a number (loading then reports it)."""
+    with open(path) as handle:
+        for line in handle:
+            if line.strip():
+                try:
+                    return int(line)
+                except ValueError:
+                    return 0
+    return 0
+
+
 def parse_group_spec(text: str) -> tuple[Group, str]:
     """Parse a spec string into a validated group and its canonical label."""
     s = text.strip()
@@ -93,6 +108,9 @@ def parse_group_spec(text: str) -> tuple[Group, str]:
         path = s[len("table:"):].strip()
         if not path:
             raise ParseError("table: needs a file path", len("table:"))
+        order = _table_order(path)
+        if order > MAX_SPEC_ORDER:
+            raise ParseError(f"table order {order} beyond {MAX_SPEC_ORDER}", len("table:"))
         group = load_group(path)
         return group, s
     if lowered.startswith("sd:"):
@@ -102,6 +120,9 @@ def parse_group_spec(text: str) -> tuple[Group, str]:
             raise ParseError("sd: needs <Kspec>,<Hspec>,<actionpath>", len("sd:"))
         k_group, k_label = _parse_product(pieces[0], len("sd:"))
         h_group, h_label = _parse_product(pieces[1], len("sd:") + len(pieces[0]) + 1)
+        if k_group.n * h_group.n > MAX_SPEC_ORDER:
+            raise ParseError(f"twisted product order {k_group.n * h_group.n} beyond "
+                             f"{MAX_SPEC_ORDER}", len("sd:"))
         action = load_action(pieces[2].strip())
         label = f"{k_label}:{h_label}"
         return semidirect(k_group, h_group, action, label=label), label

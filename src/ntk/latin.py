@@ -4,12 +4,17 @@ A partial transversal is kept as a plain tuple of ``(row, column)`` cells;
 the symbols are implied by the square. Every exhaustive oracle, including
 :func:`ntk.mappings.find_complete_mapping`, runs the one search kernel
 ``_search``: it branches row-major with ascending column index, so every
-witness it returns is deterministic.
+witness it returns is deterministic. The kernel checks forward: it keeps
+the candidate columns of every row not yet reached and cuts a branch as
+soon as those rows can no longer be completed, which removes only
+subtrees without a leaf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -143,31 +148,66 @@ def _search(rows: Sequence[Sequence[int]], skips: int = 0,
     as the column chosen in each row (``None`` for an uncovered row), or
     ``None`` when there is no leaf; with ``count=True``, the number of
     leaves.
+
+    Forward checking: each node keeps, for every row not yet reached, the
+    mask of columns whose column and symbol are both still free, so a
+    row's candidates are the set bits of its mask, lowest first. A branch
+    is cut when more of those rows have no candidate left than ``skips``
+    can still leave uncovered, or when more free columns are out of reach
+    of every such row than the initial ``skips``: such a column stays
+    unused, and a leaf that leaves d rows uncovered, d at most the initial
+    ``skips``, leaves exactly d columns unused. Both cuts remove only
+    subtrees without a leaf and the branching order is the plain
+    row-major one, so the first leaf and the count are those of the
+    unpruned search.
     """
     n = len(rows)
+    full = (1 << n) - 1
     picked: list[int | None] = [None] * n
+    # sym_cols[r][s]: the columns holding symbol s in row r. keep[r][c][i]:
+    # the columns row r + 1 + i may still use once (r, c) is picked, made on
+    # first use so that a search that ends early builds few of them
+    sym_cols = []
+    for row in rows:
+        cols = [0] * n
+        for c, s in enumerate(row):
+            cols[s] |= 1 << c
+        sym_cols.append(cols)
+    keep: list[list[list[int] | None]] = [[None] * n for _ in range(n)]
+    spare_cols = skips  # a leaf leaves at most this many columns unused
 
-    def dfs(r: int, used_cols: int, used_syms: int, skips: int) -> int:
+    def dfs(r: int, avail: list[int], free: int, skips: int) -> int:
+        # avail[i]: the candidate columns of row r + i; free: unused columns
         if r == n:
             return 1
         found = 0
-        row = rows[r]
-        for c in range(n):
-            if used_cols >> c & 1:
+        keep_r = keep[r]
+        rest = avail[1:]
+        todo = avail[0]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            c = low.bit_length() - 1
+            if keep_r[c] is None:
+                s = rows[r][c]
+                keep_r[c] = [full & ~(low | cols[s]) for cols in sym_cols[r + 1:]]
+            after = list(map(and_, rest, keep_r[c]))
+            if after.count(0) > skips:
                 continue
-            s = row[c]
-            if used_syms >> s & 1:
+            left = free ^ low
+            if (left & ~reduce(or_, after, 0)).bit_count() > spare_cols:
                 continue
             picked[r] = c
-            found += dfs(r + 1, used_cols | 1 << c, used_syms | 1 << s, skips)
+            found += dfs(r + 1, after, left, skips)
             if found and not count:
                 return found
-        if skips:
+        if (skips and rest.count(0) < skips
+                and (free & ~reduce(or_, rest, 0)).bit_count() <= spare_cols):
             picked[r] = None
-            found += dfs(r + 1, used_cols, used_syms, skips - 1)
+            found += dfs(r + 1, rest, free, skips - 1)
         return found
 
-    found = dfs(0, 0, 0, skips)
+    found = dfs(0, [full] * n, full, skips)
     if count:
         return found
     return tuple(picked) if found else None

@@ -144,6 +144,27 @@ def test_non_associative_table_above_order_512_rejected(capsys, tmp_path):
     assert "x*(a*y)" in err
 
 
+def test_twisted_product_beyond_max_order_rejected(capsys, tmp_path):
+    # Z2 acting on Z1025 by inversion: order 2050, like Z2 x Z1025
+    action = tmp_path / "inversion.txt"
+    action.write_text(" ".join(str(h) for h in range(1025)) + "\n"
+                      + " ".join(str(-h % 1025) for h in range(1025)) + "\n")
+    code, out, err = run(capsys, "analyze", f"sd:Z2,Z1025,{action}")
+    assert code == 1 and not out
+    assert "twisted product order 2050 beyond 2048" in err
+    code, _, err = run(capsys, "analyze", "Z2 x Z1025")
+    assert code == 1
+    assert "product order 2050 beyond 2048" in err
+
+
+def test_table_beyond_max_order_rejected_before_its_rows(capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("\n2050\nno rows follow\n")
+    code, out, err = run(capsys, "analyze", f"table:{path}")
+    assert code == 1 and not out
+    assert "table order 2050 beyond 2048" in err
+
+
 def test_guard_override_flag(capsys):
     code, out, _ = run(capsys, "oracle", "count", "Z11", "--guard-override", "11",
                        "--format", "json")

@@ -1,10 +1,12 @@
 import pytest
 
 import ntk
+from ntk import cli, construction
 from ntk.catalog import _s3_times_cyclic, builtin_catalog
 from ntk.construction import BRANCH_COMPLETE_MAPPING, BRANCH_CONSTRUCTION
 from ntk.errors import InvalidOrdering, NotApplicable
 from ntk.groups import CYCLIC_NONTRIVIAL
+from ntk.groupspec import parse_group_spec
 
 
 def cyclic_nontrivial_entries(max_order):
@@ -193,6 +195,34 @@ def test_non_cyclic_sylow_uses_search():
     assert len(result.cells) == 7
     ok, _ = ntk.is_partial_transversal(ntk.cayley_square(group), result.cells)
     assert ok
+
+
+def _count_sylow2_calls(monkeypatch, *modules):
+    calls = []
+    real = ntk.sylow2
+
+    def counting(group):
+        calls.append(group)
+        return real(group)
+
+    for module in modules:
+        monkeypatch.setattr(module, "sylow2", counting)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["Z6", "S3 x Z3", "Dic3", "Z15", "Dic2"])
+def test_near_transversal_runs_sylow2_once(monkeypatch, spec):
+    calls = _count_sylow2_calls(monkeypatch, construction)
+    group, _ = parse_group_spec(spec)
+    ntk.near_transversal(group)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_cli_runs_sylow2_once(monkeypatch, capsys, command):
+    calls = _count_sylow2_calls(monkeypatch, construction, cli)
+    assert cli.main([command, "S3 x Z3"]) == 0
+    assert len(calls) == 1
 
 
 def test_near_transversal_sizes_catalog_200():

@@ -3,12 +3,15 @@ import itertools
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ntk
 from ntk.catalog import _s3_times_cyclic, builtin_catalog
 from ntk.errors import DuplicateCell, TooLarge
 from ntk.graphs import COLUMN, ROW, SYMBOL, WitnessShape
 from ntk.groups import CYCLIC_NONTRIVIAL
+from ntk.groupspec import parse_group_spec
 
 
 def witness_for(group):
@@ -237,6 +240,52 @@ def test_mis_matches_brute_force_on_small_graphs():
     assert size == best
     chosen_idx = [graph.vertices.index(cell) for cell in chosen]
     assert all(v not in adj[u] for u, v in it.combinations(chosen_idx, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mis_matches_networkx_on_drawn_subgraphs(data):
+    group = data.draw(st.sampled_from([e.group for e in builtin_catalog(6)]))
+    square = ntk.cayley_square(group)
+    all_cells = list(itertools.product(range(group.n), repeat=2))
+    cells = data.draw(st.lists(st.sampled_from(all_cells), unique=True, max_size=18))
+    graph = ntk.induced_subgraph(square, cells)
+    size, chosen = ntk.max_independent_set(graph)
+    _, best = nx.max_weight_clique(nx.complement(_nx_from_labeled(graph)), weight=None)
+    assert size == best == len(chosen)
+    index = {cell: i for i, cell in enumerate(graph.vertices)}
+    chosen_idx = {index[cell] for cell in chosen}
+    assert not any(u in chosen_idx and v in chosen_idx for u, v, _ in graph.edges)
+
+
+# (size, witness) of max_independent_set on each ladder witness graph, as the
+# solver gave them before it kept a memo of solved vertex sets
+LADDER_MIS = {
+    "Z6": (5, ((0, 0), (5, 5), (4, 4), (3, 2), (2, 1))),
+    "Z8": (7, ((0, 0), (1, 1), (2, 2), (7, 7), (3, 4), (4, 5), (5, 6))),
+    "Z10": (9, ((0, 0), (7, 7), (4, 4), (1, 1), (8, 8), (5, 2), (2, 9), (9, 6), (6, 3))),
+    "Z12": (11, ((0, 0), (7, 7), (2, 2), (9, 9), (4, 4), (5, 5), (11, 6), (6, 1), (1, 8),
+                 (8, 3), (3, 10))),
+    "Z14": (13, ((0, 0), (9, 9), (4, 4), (13, 13), (8, 8), (3, 3), (12, 12), (7, 2),
+                 (2, 11), (11, 6), (6, 1), (1, 10), (10, 5))),
+    "Z16": (15, ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (15, 15), (7, 8),
+                 (8, 9), (9, 10), (10, 11), (11, 12), (12, 13), (13, 14))),
+    "Z18": (17, ((0, 0), (11, 11), (4, 4), (15, 15), (8, 8), (1, 1), (12, 12), (5, 5),
+                 (16, 16), (9, 2), (2, 13), (13, 6), (6, 17), (17, 10), (10, 3), (3, 14),
+                 (14, 7))),
+    "Z20": (19, ((0, 0), (9, 9), (18, 18), (7, 7), (16, 16), (5, 5), (14, 14), (3, 3),
+                 (12, 12), (11, 11), (1, 10), (10, 19), (19, 8), (8, 17), (17, 6), (6, 15),
+                 (15, 4), (4, 13), (13, 2))),
+    "Dic3": (11, ((0, 0), (10, 8), (1, 1), (9, 9), (2, 2), (11, 7), (8, 3), (3, 11), (7, 4),
+                  (4, 6), (6, 5))),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(LADDER_MIS))
+def test_mis_on_ladder_witness_graphs_unchanged(spec):
+    group, _ = parse_group_spec(spec)
+    graph = ntk.induced_subgraph(ntk.cayley_square(group), witness_for(group).all_cells)
+    assert ntk.max_independent_set(graph) == LADDER_MIS[spec]
 
 
 # ---------------------------------------------------------------------------

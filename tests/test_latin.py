@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import ntk
 from ntk.catalog import builtin_catalog
 from ntk.errors import InvalidInput, NotLatin, NotPermutation, OrderTooLarge
-from ntk.latin import ROLES
+from ntk.latin import ROLES, _search
 
 
 def test_cayley_square_examples():
@@ -117,6 +117,65 @@ def test_oracles_match_itertools_reference_to_order_6():
         assert ntk.count_transversals(square) == len(transversals), entry.label
         assert ntk.find_complete_mapping(group) == first, entry.label
         assert ntk.max_partial_transversal(square) == (len(witness), witness), entry.label
+
+
+def _plain_search(rows, skips=0, count=False):
+    """The row-major bitmask DFS without forward checking: the reference
+    for the pruned kernel, with the same branching order and leaves."""
+    n = len(rows)
+    picked = [None] * n
+
+    def dfs(r, used_cols, used_syms, skips):
+        if r == n:
+            return 1
+        found = 0
+        for c in range(n):
+            s = rows[r][c]
+            if used_cols >> c & 1 or used_syms >> s & 1:
+                continue
+            picked[r] = c
+            found += dfs(r + 1, used_cols | 1 << c, used_syms | 1 << s, skips)
+            if found and not count:
+                return found
+        if skips:
+            picked[r] = None
+            found += dfs(r + 1, used_cols, used_syms, skips - 1)
+        return found
+
+    found = dfs(0, 0, 0, skips)
+    if count:
+        return found
+    return tuple(picked) if found else None
+
+
+def _assert_kernel_matches_plain_search(rows, label, max_count_order=9):
+    n = len(rows)
+    assert _search(rows) == _plain_search(rows), label
+    if n > 9:
+        return
+    assert _search(rows, count=True) == _plain_search(rows, count=True), label
+    for skips in (1, 2):
+        assert _search(rows, skips) == _plain_search(rows, skips), (label, skips)
+        if n <= max_count_order:
+            assert _search(rows, skips, count=True) == _plain_search(
+                rows, skips, count=True), (label, skips)
+
+
+def test_search_kernel_matches_plain_search_to_order_10():
+    # first leaf to order 10; counts and first leaves with 1 or 2 uncovered
+    # rows to order 9
+    for entry in builtin_catalog(10):
+        _assert_kernel_matches_plain_search(entry.group.table, entry.label)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_search_kernel_matches_plain_search_on_isotopes(data):
+    entry = data.draw(st.sampled_from(builtin_catalog(9)))
+    n = entry.group.n
+    perms = [data.draw(st.permutations(range(n))) for _ in range(3)]
+    square = ntk.apply_isotopy(ntk.cayley_square(entry.group), *perms)
+    _assert_kernel_matches_plain_search(square.cells, entry.label, max_count_order=8)
 
 
 def test_transversal_presence_matches_sylow_class_to_order_10():
