@@ -57,7 +57,8 @@ class Decomposition:
     ``fixed_part``/``fixed_order`` are its fixed subgroup inside the odd
     part and that subgroup's (odd) order ``m``; ``moved_part`` is the rest
     of the odd part, paired up by the twist into ``orbit_pairs`` with the
-    smaller index listed first.
+    smaller index listed first; ``gen_powers`` lists ``sylow_gen^i`` for
+    ``i`` in ``[k]``.
     """
 
     group: Group
@@ -71,14 +72,7 @@ class Decomposition:
     fixed_order: int
     moved_part: frozenset[int]
     orbit_pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def gen_powers(self) -> tuple[int, ...]:
-        g = self.group
-        out = [g.identity]
-        for _ in range(self.sylow_order - 1):
-            out.append(g.table[out[-1]][self.sylow_gen])
-        return tuple(out)
+    gen_powers: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +119,6 @@ class ConstructionResult:
     m: int | None = None
     ordering: tuple[int, ...] | None = None
     witness: Witness | None = None
-    verified: bool = False
 
 
 def decompose(group: Group, *, report: SylowReport | None = None) -> Decomposition:
@@ -222,6 +215,7 @@ def decompose(group: Group, *, report: SylowReport | None = None) -> Decompositi
         fixed_order=m,
         moved_part=moved_part,
         orbit_pairs=pairs,
+        gen_powers=tuple(gen_powers),
     )
 
 
@@ -351,7 +345,6 @@ def near_transversal(group: Group, *,
             m=dec.fixed_order,
             ordering=witness.ordering,
             witness=witness,
-            verified=True,
         )
 
     if n % 2 == 1:
@@ -374,7 +367,6 @@ def near_transversal(group: Group, *,
         sylow=report,
         k=k,
         l=n // k,
-        verified=True,
     )
 
 
@@ -400,7 +392,11 @@ def display_orders(witness: Witness) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def result_json(result: ConstructionResult, label: str | None = None) -> dict:
-    """The construct artifact: group, parameters, row-sorted cell triples."""
+    """The construct artifact: group, parameters, row-sorted cell triples.
+
+    ``verified`` is always true: :func:`near_transversal` raises instead of
+    returning cells it could not check.
+    """
     group = result.group
     cells = sorted(
         [r, c, group.table[r][c]] for r, c in result.cells
@@ -417,5 +413,5 @@ def result_json(result: ConstructionResult, label: str | None = None) -> dict:
             [group.names[h] for h in result.ordering]
             if result.ordering is not None else None
         ),
-        "verified": result.verified,
+        "verified": True,
     }

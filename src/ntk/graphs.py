@@ -5,13 +5,14 @@ they share a row, a column, or a symbol, and every edge carries that label.
 The witness checks below certify, constructively, that the cells produced
 by the construction module induce one Möbius ladder (over the fixed block)
 plus a disjoint union of prisms (over the moved block), mirroring how the
-guarantee is proved rather than calling a generic isomorphism test.
+guarantee is proved rather than calling a generic isomorphism test. They
+all read one graph, induced on the ladder cells and then the prism cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .construction import Witness, extract_near_transversal, rim_sequence
 from .errors import DuplicateCell, TooLarge
@@ -41,6 +42,12 @@ class LabeledGraph:
 
     def edges_with_label(self, label: str) -> list[tuple[int, int]]:
         return [(u, v) for u, v, lab in self.edges if lab == label]
+
+    def block(self, start: int, stop: int) -> "LabeledGraph":
+        """The subgraph on ``vertices[start:stop]``, renumbered from 0."""
+        edges = tuple((u - start, v - start, lab) for u, v, lab in self.edges
+                      if start <= u and v < stop)
+        return LabeledGraph(self.vertices[start:stop], edges)
 
     def label_degrees(self) -> list[dict[str, int]]:
         out = [{lab: 0 for lab in LABELS} for _ in self.vertices]
@@ -248,12 +255,11 @@ class WitnessReport:
     shape: WitnessShape
     size_ok: bool
     extracted_size: int
-    independent_ok: bool
 
     @property
     def passed(self) -> bool:
         return (self.separation.passed and self.mobius.passed
-                and self.prisms.passed and self.size_ok and self.independent_ok)
+                and self.prisms.passed and self.size_ok)
 
     def to_json(self) -> dict:
         return {
@@ -265,35 +271,20 @@ class WitnessReport:
         }
 
 
-def _bucket_cross_edges(square: LatinSquare, left: Sequence[Cell],
-                        right: Sequence[Cell]) -> dict[str, int]:
-    counts = {lab: 0 for lab in LABELS}
-    keys = {
-        ROW: lambda cell: cell[0],
-        COLUMN: lambda cell: cell[1],
-        SYMBOL: lambda cell: square.cells[cell[0]][cell[1]],
-    }
-    for lab, key in keys.items():
-        buckets: dict[int, int] = {}
-        for cell in left:
-            buckets[key(cell)] = buckets.get(key(cell), 0) + 1
-        for cell in right:
-            counts[lab] += buckets.get(key(cell), 0)
-    return counts
+def check_separation(graph: LabeledGraph, witness: Witness) -> SeparationReport:
+    """No edge of the witness graph joins a ladder cell to a prism cell.
+
+    Two distinct cells share at most one of row, column and symbol, so
+    each label's count is the number of cross pairs sharing that label.
+    """
+    split = len(witness.ladder_cells)
+    crossing = [lab for u, v, lab in graph.edges if u < split <= v]
+    cross = {lab: crossing.count(lab) for lab in LABELS}
+    return SeparationReport(not crossing, 0, cross)
 
 
-def check_separation(square: LatinSquare, witness: Witness) -> SeparationReport:
-    """Ladder and prism cells are disjoint with no edges between them."""
-    ladder = witness.ladder_cells
-    prisms = witness.prism_cells
-    overlap = len(set(ladder) & set(prisms))
-    cross = _bucket_cross_edges(square, ladder, prisms)
-    passed = overlap == 0 and all(v == 0 for v in cross.values())
-    return SeparationReport(passed, overlap, cross)
-
-
-def check_mobius(square: LatinSquare, witness: Witness) -> MobiusReport:
-    """The ladder cells induce a Möbius ladder.
+def check_mobius(graph: LabeledGraph, witness: Witness) -> MobiusReport:
+    """The ladder cells, first in the witness graph, induce a Möbius ladder.
 
     Certified structurally: one row, one column and one symbol edge per
     vertex; the row/column edges are exactly the rim cycle of length 2km;
@@ -304,7 +295,7 @@ def check_mobius(square: LatinSquare, witness: Witness) -> MobiusReport:
     rim = rim_sequence(witness)
     problems: list[str] = []
 
-    graph = induced_subgraph(square, witness.ladder_cells)
+    graph = graph.block(0, len(witness.ladder_cells))
     position = {cell: i for i, cell in enumerate(rim)}
 
     for degs, cell in zip(graph.label_degrees(), graph.vertices):
@@ -341,8 +332,9 @@ def check_mobius(square: LatinSquare, witness: Witness) -> MobiusReport:
     return MobiusReport(not problems, 2 * km, tuple(sorted(offsets)), tuple(problems))
 
 
-def check_prisms(square: LatinSquare, witness: Witness) -> PrismReport:
-    """The prism cells induce (l-m)/2 disjoint prisms.
+def check_prisms(graph: LabeledGraph, witness: Witness) -> PrismReport:
+    """The prism cells, last in the witness graph, induce (l-m)/2 disjoint
+    prisms.
 
     Certified structurally: the row/column edges are exactly the expected
     2k-cycles, one per moved element, walked as diag/shift alternation; the
@@ -362,8 +354,7 @@ def check_prisms(square: LatinSquare, witness: Witness) -> PrismReport:
             seq.append(witness.prism_shift[(f, i)])
         cycles[f] = seq
 
-    cells = witness.prism_cells
-    graph = induced_subgraph(square, cells)
+    graph = graph.block(len(witness.ladder_cells), len(graph.vertices))
     index = {cell: i for i, cell in enumerate(graph.vertices)}
 
     expected_rowcol = set()
@@ -401,22 +392,14 @@ def check_prisms(square: LatinSquare, witness: Witness) -> PrismReport:
 
 
 def check_witness(square: LatinSquare, witness: Witness) -> WitnessReport:
-    """Run all structural checks plus size and independence of the extraction."""
-    shape = WitnessShape.of(witness)
-    separation = check_separation(square, witness)
-    mobius = check_mobius(square, witness)
-    prisms = check_prisms(square, witness)
-    expected = 2 * shape.ladder_size + 2 * shape.k * (shape.l - shape.m)
-    size_ok = len(set(witness.all_cells)) == expected
+    """Every structural check, read off the one witness graph of 2n cells.
 
-    extracted = extract_near_transversal(witness)
-    cell_set = set(extracted)
+    Building the graph raises :class:`DuplicateCell` on a repeated cell;
+    the re-extraction raises :class:`StructureViolation` unless its n - 1
+    cells are independent.
+    """
     graph = induced_subgraph(square, witness.all_cells)
-    independent_ok = True
-    for u, v, _ in graph.edges:
-        if graph.vertices[u] in cell_set and graph.vertices[v] in cell_set:
-            independent_ok = False
-            break
-
-    return WitnessReport(separation, mobius, prisms, shape, size_ok,
-                         len(extracted), independent_ok)
+    return WitnessReport(check_separation(graph, witness), check_mobius(graph, witness),
+                         check_prisms(graph, witness), WitnessShape.of(witness),
+                         len(graph.vertices) == 2 * witness.dec.group.n,
+                         len(extract_near_transversal(witness)))

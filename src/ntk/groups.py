@@ -585,7 +585,12 @@ def group_from_text(text: str, label: str = "") -> Group:
         raise NotLatin(f"first line must be the order, got {lines[0]!r}")
     if len(lines) < n + 1:
         raise NotLatin(f"expected {n} table rows, found {len(lines) - 1}")
-    rows = [[int(x) for x in lines[1 + i].split()] for i in range(n)]
+    rows = []
+    for line in lines[1:n + 1]:
+        try:
+            rows.append([int(x) for x in line.split()])
+        except ValueError:
+            raise NotLatin(f"row {len(rows)} has a non-integer entry: {line!r}") from None
     names = None
     rest = lines[1 + n:]
     if rest:

@@ -11,17 +11,19 @@
                                       0..|H|-1 (images, space-separated)
 
 Atoms are case-insensitive. Parse failures raise :class:`ParseError` with
-the character position of the offending token. Every route, the table
-file included, is refused as a parse failure past ``MAX_SPEC_ORDER``
-elements, before any table is built or read.
+the character position of the offending token; so does a table or action
+file that cannot be read. Every route, the table file included, is
+refused as a parse failure past ``MAX_SPEC_ORDER`` elements, before any
+table is built or read.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import InvalidAction, ParseError
 from .groups import Group, cyclic, dicyclic, dihedral, direct_product, load_group, semidirect, symmetric
 
 # Orders past this point are outside the intended desk scale.
@@ -81,8 +83,23 @@ def _parse_product(text: str, offset: int) -> tuple[Group, str]:
 
 
 def load_action(path: str | Path) -> list[list[int]]:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    return [[int(x) for x in ln.split()] for ln in lines]
+    action = []
+    for line in (ln for ln in Path(path).read_text().splitlines() if ln.strip()):
+        try:
+            action.append([int(x) for x in line.split()])
+        except ValueError:
+            raise InvalidAction(
+                f"action line {len(action)} has a non-integer entry: {line!r}") from None
+    return action
+
+
+@contextmanager
+def _readable(path: str, position: int):
+    """Report a file that cannot be read as a parse error at ``position``."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path!r} ({type(exc).__name__})", position) from None
 
 
 def _table_order(path: str) -> int:
@@ -108,10 +125,11 @@ def parse_group_spec(text: str) -> tuple[Group, str]:
         path = s[len("table:"):].strip()
         if not path:
             raise ParseError("table: needs a file path", len("table:"))
-        order = _table_order(path)
-        if order > MAX_SPEC_ORDER:
-            raise ParseError(f"table order {order} beyond {MAX_SPEC_ORDER}", len("table:"))
-        group = load_group(path)
+        with _readable(path, len("table:")):
+            order = _table_order(path)
+            if order > MAX_SPEC_ORDER:
+                raise ParseError(f"table order {order} beyond {MAX_SPEC_ORDER}", len("table:"))
+            group = load_group(path)
         return group, s
     if lowered.startswith("sd:"):
         body = s[len("sd:"):]
@@ -123,7 +141,8 @@ def parse_group_spec(text: str) -> tuple[Group, str]:
         if k_group.n * h_group.n > MAX_SPEC_ORDER:
             raise ParseError(f"twisted product order {k_group.n * h_group.n} beyond "
                              f"{MAX_SPEC_ORDER}", len("sd:"))
-        action = load_action(pieces[2].strip())
+        with _readable(pieces[2].strip(), len(s) - len(pieces[2])):
+            action = load_action(pieces[2].strip())
         label = f"{k_label}:{h_label}"
         return semidirect(k_group, h_group, action, label=label), label
     return _parse_product(s, 0)

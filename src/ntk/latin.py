@@ -18,7 +18,7 @@ from operator import and_, or_
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import DuplicateCell, InvalidInput, NotLatin, NotPermutation
+from .errors import InvalidInput, NotLatin, NotPermutation
 from .guards import ensure_within
 from .groups import Group
 

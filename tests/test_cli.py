@@ -220,3 +220,81 @@ def test_catalog_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["summary"]["failed"] == 0
+
+
+# ``verify --format json`` as it read before the checks shared one witness graph
+VERIFY_JSON = {
+    "Z6": {"group": "Z6",
+           "claim1": {"passed": True, "overlap": 0,
+                      "crossEdges": {"row": 0, "column": 0, "symbol": 0}},
+           "mobius": {"passed": True, "rimLength": 12, "chordOffsets": [6], "problems": []},
+           "prisms": {"passed": True, "cycleCount": 0, "prismCount": 0,
+                      "matchingOffset": 2, "problems": []},
+           "independentSetSize": 5, "passed": True},
+    "S3 x Z3": {"group": "S3 x Z3",
+                "claim1": {"passed": True, "overlap": 0,
+                           "crossEdges": {"row": 0, "column": 0, "symbol": 0}},
+                "mobius": {"passed": True, "rimLength": 12, "chordOffsets": [6],
+                           "problems": []},
+                "prisms": {"passed": True, "cycleCount": 6, "prismCount": 3,
+                           "matchingOffset": 2, "problems": []},
+                "independentSetSize": 17, "passed": True},
+}
+
+
+@pytest.mark.parametrize("spec", sorted(VERIFY_JSON))
+def test_verify_json_unchanged(capsys, spec):
+    code, out, _ = run(capsys, "verify", spec, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(VERIFY_JSON[spec], indent=2) + "\n"
+
+
+def test_options_a_subcommand_does_not_read_are_refused(capsys):
+    code, out, _ = run(capsys, "analyze", "Z6", "--ordering", "1,c", "--guard-override", "3",
+                       "--format", "latex")
+    assert code == 1 and not out
+    for argv in (["analyze", "Z6", "--ordering", "1,c"],
+                 ["analyze", "Z6", "--guard-override", "3"],
+                 ["verify", "Z6", "--guard-override", "3"],
+                 ["oracle", "count", "Z3", "--ordering", "1"],
+                 ["catalog", "--ordering", "1"],
+                 ["render", "Z6", "--format", "json"],
+                 ["construct", "Z6", "--format", "latex"]):
+        assert run(capsys, *argv)[0] == 1, argv
+
+
+def test_render_format_defaults_to_ascii(capsys):
+    assert run(capsys, "render", "Z6") == run(capsys, "render", "Z6", "--format", "ascii")
+
+
+def _one_error_line(err):
+    lines = err.splitlines()
+    return len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in err
+
+
+def test_missing_table_file_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "analyze", f"table:{tmp_path / 'missing.txt'}")
+    assert code == 1 and not out and _one_error_line(err)
+    assert "cannot read" in err
+
+
+def test_missing_action_file_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "analyze", f"sd:Z2,Z3,{tmp_path / 'missing.txt'}")
+    assert code == 1 and not out and _one_error_line(err)
+    assert "cannot read" in err
+
+
+def test_table_row_with_a_non_integer_is_named(capsys, tmp_path):
+    path = tmp_path / "z2.txt"
+    path.write_text("2\n0 1\n1 x\n")
+    code, out, err = run(capsys, "analyze", f"table:{path}")
+    assert code == 1 and not out and _one_error_line(err)
+    assert "row 1" in err
+
+
+def test_action_line_with_a_non_integer_is_named(capsys, tmp_path):
+    path = tmp_path / "action.txt"
+    path.write_text("0 1 2\n0 x 2\n")
+    code, out, err = run(capsys, "analyze", f"sd:Z2,Z3,{path}")
+    assert code == 1 and not out and _one_error_line(err)
+    assert "action line 1" in err

@@ -18,6 +18,15 @@ def witness_for(group):
     return ntk.build_witness(ntk.decompose(group))
 
 
+def witness_graph(group, witness):
+    return ntk.induced_subgraph(ntk.cayley_square(group), witness.all_cells)
+
+
+def graph_and_witness(group):
+    witness = witness_for(group)
+    return witness_graph(group, witness), witness
+
+
 def cyclic_nontrivial_groups(max_order):
     return [e.group for e in builtin_catalog(max_order)
             if ntk.sylow2(e.group).classification == CYCLIC_NONTRIVIAL]
@@ -90,7 +99,7 @@ def test_witness_graphs_are_cubic_with_expected_symbol_counts():
 
 def test_separation_passes():
     for group in (ntk.cyclic(6), _s3_times_cyclic(3)):
-        report = ntk.check_separation(ntk.cayley_square(group), witness_for(group))
+        report = ntk.check_separation(*graph_and_witness(group))
         assert report.passed and report.overlap == 0
 
 
@@ -103,7 +112,7 @@ def test_separation_detects_moved_row_fault():
     tampered_diag = dict(witness.prism_diag)
     tampered_diag[key] = (t_row, c)
     tampered = dataclasses.replace(witness, prism_diag=tampered_diag)
-    report = ntk.check_separation(ntk.cayley_square(group), tampered)
+    report = ntk.check_separation(witness_graph(group, tampered), tampered)
     assert not report.passed
     assert report.cross_edges[ROW] >= 1
 
@@ -114,7 +123,7 @@ def test_mobius_certificates():
         6: ntk.cyclic(6),       # rim 12 + 6 antipodal chords
     }
     for km, group in cases.items():
-        report = ntk.check_mobius(ntk.cayley_square(group), witness_for(group))
+        report = ntk.check_mobius(*graph_and_witness(group))
         assert report.passed
         assert report.rim_length == 2 * km
         assert report.chord_offsets == (km,)
@@ -122,7 +131,7 @@ def test_mobius_certificates():
 
 def test_mobius_order18():
     group = _s3_times_cyclic(3)
-    report = ntk.check_mobius(ntk.cayley_square(group), witness_for(group))
+    report = ntk.check_mobius(*graph_and_witness(group))
     assert report.passed and report.rim_length == 12
 
 
@@ -140,23 +149,22 @@ def test_mobius_detects_shifted_cell():
     shift = list(witness.ladder_shift)
     shift[i] = bad_cell
     tampered = dataclasses.replace(witness, ladder_shift=tuple(shift))
-    report = ntk.check_mobius(ntk.cayley_square(group), tampered)
+    report = ntk.check_mobius(witness_graph(group, tampered), tampered)
     assert not report.passed
 
 
 def test_prism_certificates():
-    z6_report = ntk.check_prisms(ntk.cayley_square(ntk.cyclic(6)),
-                                 witness_for(ntk.cyclic(6)))
+    z6_report = ntk.check_prisms(*graph_and_witness(ntk.cyclic(6)))
     assert z6_report.passed and z6_report.prism_count == 0
 
     group = _s3_times_cyclic(3)
-    report = ntk.check_prisms(ntk.cayley_square(group), witness_for(group))
+    report = ntk.check_prisms(*graph_and_witness(group))
     assert report.passed
     assert report.prism_count == 3 and report.cycle_count == 6
     assert report.matching_offset == 2
 
     s3 = ntk.symmetric(3)
-    report = ntk.check_prisms(ntk.cayley_square(s3), witness_for(s3))
+    report = ntk.check_prisms(*graph_and_witness(s3))
     assert report.passed and report.prism_count == 1
 
 
@@ -165,6 +173,53 @@ def test_full_witness_check_catalog():
         square = ntk.cayley_square(group)
         report = ntk.check_witness(square, witness_for(group))
         assert report.passed, group.label
+
+
+def test_witness_families_sharing_a_cell_raise_duplicate_cell():
+    group = _s3_times_cyclic(3)
+    witness = witness_for(group)
+    shared = dict(witness.prism_diag)
+    shared[next(iter(shared))] = witness.ladder_diag[0]
+    tampered = dataclasses.replace(witness, prism_diag=shared)
+    with pytest.raises(DuplicateCell):
+        ntk.check_witness(ntk.cayley_square(group), tampered)
+
+
+def _bucket_cross_edges(square, left, right):
+    # the per-label count of (left, right) pairs sharing a row, column or
+    # symbol, as the separation check counted them before it read the
+    # witness graph
+    counts = {}
+    for lab, key in ((ROW, lambda c: c[0]), (COLUMN, lambda c: c[1]),
+                     (SYMBOL, lambda c: square.cells[c[0]][c[1]])):
+        buckets = {}
+        for cell in left:
+            buckets[key(cell)] = buckets.get(key(cell), 0) + 1
+        counts[lab] = sum(buckets.get(key(cell), 0) for cell in right)
+    return counts
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_one_graph_holds_both_sides_and_their_crossings(data):
+    group = data.draw(st.sampled_from([e.group for e in builtin_catalog(8)]))
+    square = ntk.cayley_square(group)
+    all_cells = list(itertools.product(range(group.n), repeat=2))
+    cells = data.draw(st.lists(st.sampled_from(all_cells), unique=True, max_size=40))
+    split = data.draw(st.integers(0, len(cells)))
+    graph = ntk.induced_subgraph(square, cells)
+    for start, stop in ((0, split), (split, len(cells))):
+        side = ntk.induced_subgraph(square, cells[start:stop])
+        inside = tuple((u - start, v - start, lab) for u, v, lab in graph.edges
+                       if start <= u and v < stop)
+        assert inside == side.edges
+        block = graph.block(start, stop)
+        assert block.vertices == side.vertices and block.edges == side.edges
+    crossing = {lab: 0 for lab in (ROW, COLUMN, SYMBOL)}
+    for u, v, lab in graph.edges:
+        if u < split <= v:
+            crossing[lab] += 1
+    assert crossing == _bucket_cross_edges(square, cells[:split], cells[split:])
 
 
 def test_witness_report_json_keys():
