@@ -19,7 +19,6 @@ from .construction import (
     extract_near_transversal,
     near_transversal,
     result_json,
-    rim_sequence,
 )
 from .graphs import (
     LabeledGraph,

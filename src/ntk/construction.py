@@ -7,13 +7,14 @@ Pipeline for a group whose Sylow 2-subgroup is cyclic and nontrivial:
    order ``l = n/k``. Conjugation by the involution ``a = b^(k/2)`` is an
    order-2 automorphism of H; its fixed subgroup has odd order ``m``
    dividing ``l`` and the remaining ``l - m`` elements pair up under it.
-2. ``build_witness``: materialize two interleaved cell families over the
-   fixed part (the "ladder" cells, ``2km`` of them) and two over the moved
-   part (the "prism" cells, ``2k(l-m)``), driven by a harmonious ordering
-   of the fixed subgroup.
+2. ``build_witness``: materialize the ``2n`` witness cells as two flat
+   families, driven by a harmonious ordering of the fixed subgroup: the
+   "ladder" cells over the fixed part (``2km`` of them) and the "prism"
+   cells over the moved part (``2k(l-m)``). Each family lists its diagonal
+   cells first and then its shifted cells in the same order.
 3. ``extract_near_transversal``: read off ``n - 1`` pairwise-independent
-   cells: a greedy walk around the ladder rim yields ``km - 1`` and one
-   bipartition side of every prism yields ``k`` per moved pair, twice.
+   cells by position: a greedy walk around the ladder rim yields
+   ``km - 1`` and one bipartition side of every prism yields ``2k``.
 
 Groups with trivial or non-cyclic Sylow 2-subgroup instead take a full
 transversal from a complete mapping and drop one cell.
@@ -77,29 +78,29 @@ class Decomposition:
 
 @dataclass(frozen=True, eq=False)
 class Witness:
-    """The four cell families inducing the ladder-plus-prisms subgraph.
+    """The ``2n`` witness cells, as two flat families in graph order.
 
-    ``ladder_diag[i]`` / ``ladder_shift[i]`` (``i`` in ``[km]``) sit over
-    the fixed block; ``prism_diag[(f, i)]`` / ``prism_shift[(f, i)]``
-    (``f`` in the moved part, ``i`` in ``[k]``) over the moved block.
-    ``ordering`` is the harmonious ordering used; indices into it are taken
-    modulo ``m`` and generator exponents modulo ``k``.
+    Each family lists its diagonal cells, then its shifted cells in the
+    same order. Diagonal cell ``j`` and shifted cell ``j`` share a row, and
+    shifted cell ``j`` shares a column with the next diagonal cell of its
+    cycle, so visiting diagonal ``j`` at ``2j`` and shifted ``j`` at
+    ``2j + 1`` walks the row/column cycles.
+
+    ``ladder_cells`` (``2km``, over the fixed block) form one cycle, the
+    rim: for ``i`` in ``[km]``, diagonal cell ``i`` is ``(b^i h_i, h_i b^i)``
+    and shifted cell ``i`` is ``(b^i h_i, h_(i+1) b^(i+1))``.
+    ``prism_cells`` (``2k(l-m)``, over the moved block) hold a run of ``k``
+    cells per moved element ``f`` in each half, ``(b^i f, f b^i)`` and
+    ``(b^i f, f b^(i+1))``. The moved elements come pair by pair in
+    ``dec.orbit_pairs`` order, so orbit pair ``t`` owns cycles ``2t`` and
+    ``2t + 1``. ``ordering`` is the harmonious ordering ``h``; indices into
+    it are taken modulo ``m`` and generator exponents modulo ``k``.
     """
 
     dec: Decomposition
     ordering: tuple[int, ...]
-    ladder_diag: tuple[Cell, ...]
-    ladder_shift: tuple[Cell, ...]
-    prism_diag: dict[tuple[int, int], Cell]
-    prism_shift: dict[tuple[int, int], Cell]
-
-    @property
-    def ladder_cells(self) -> tuple[Cell, ...]:
-        return self.ladder_diag + self.ladder_shift
-
-    @property
-    def prism_cells(self) -> tuple[Cell, ...]:
-        return tuple(self.prism_diag.values()) + tuple(self.prism_shift.values())
+    ladder_cells: tuple[Cell, ...]
+    prism_cells: tuple[Cell, ...]
 
     @property
     def all_cells(self) -> tuple[Cell, ...]:
@@ -221,11 +222,12 @@ def decompose(group: Group, *, report: SylowReport | None = None) -> Decompositi
 
 def build_witness(dec: Decomposition,
                   ordering: Sequence[int] | None = None) -> Witness:
-    """Materialize the four cell families from a harmonious ordering.
+    """Materialize the ladder and prism families from a harmonious ordering.
 
     ``ordering`` defaults to the deterministic harmonious ordering of the
     fixed part; a supplied override is re-verified and rejected with
-    :class:`InvalidOrdering` if it is not harmonious.
+    :class:`InvalidOrdering` if it is not harmonious. The cells of each
+    family, and the two families, are checked pairwise distinct.
     """
     group = dec.group
     if ordering is None:
@@ -244,70 +246,46 @@ def build_witness(dec: Decomposition,
     table = group.table
     powers = dec.gen_powers
 
-    ladder_diag = []
-    ladder_shift = []
-    for i in range(km):
-        h_i = ordering[i % m]
-        h_next = ordering[(i + 1) % m]
-        b_i = powers[i % k]
-        b_next = powers[(i + 1) % k]
-        row = table[b_i][h_i]
-        ladder_diag.append((row, table[h_i][b_i]))
-        ladder_shift.append((row, table[h_next][b_next]))
-    ladder_diag = tuple(ladder_diag)
-    ladder_shift = tuple(ladder_shift)
+    ladder_rows = [table[powers[i % k]][ordering[i % m]] for i in range(km)]
+    ladder = tuple(
+        (row, table[ordering[(i + s) % m]][powers[(i + s) % k]])
+        for s in (0, 1) for i, row in enumerate(ladder_rows)
+    )
+    moved = [f for pair in dec.orbit_pairs for f in pair]
+    prisms = tuple(
+        (table[powers[i]][f], table[f][powers[(i + s) % k]])
+        for s in (0, 1) for f in moved for i in range(k)
+    )
 
-    prism_diag = {}
-    prism_shift = {}
-    for f in sorted(dec.moved_part):
-        for i in range(k):
-            row = table[powers[i]][f]
-            prism_diag[(f, i)] = (row, table[f][powers[i]])
-            prism_shift[(f, i)] = (row, table[f][powers[(i + 1) % k]])
-
-    distinct = set(ladder_diag) | set(ladder_shift)
+    distinct = set(ladder)
     if len(distinct) != 2 * km:
         raise StructureViolation("ladder cells are not pairwise distinct")
-    prisms = set(prism_diag.values()) | set(prism_shift.values())
-    if len(prisms) != 2 * k * (dec.odd_order - m):
+    if len(set(prisms)) != 2 * k * (dec.odd_order - m):
         raise StructureViolation("prism cells are not pairwise distinct")
-    if distinct & prisms:
+    if not distinct.isdisjoint(prisms):
         raise StructureViolation("ladder and prism cells intersect")
 
-    return Witness(dec, ordering, ladder_diag, ladder_shift, prism_diag, prism_shift)
-
-
-def rim_sequence(witness: Witness) -> tuple[Cell, ...]:
-    """The ladder cells in rim order: diag[0], shift[0], diag[1], shift[1], ...
-
-    Consecutive cells (cyclically) alternate sharing a row and a column, so
-    this sequence walks the Hamilton cycle of the ladder's row/column edges.
-    """
-    out = []
-    for d, s in zip(witness.ladder_diag, witness.ladder_shift):
-        out.append(d)
-        out.append(s)
-    return tuple(out)
+    return Witness(dec, ordering, ladder, prisms)
 
 
 def extract_near_transversal(witness: Witness) -> tuple[Cell, ...]:
-    """The n-1 independent cells the witness guarantees.
+    """The n-1 independent cells the witness guarantees, read by position.
 
-    From the ladder: the greedy walk around the rim settles on
-    ``diag[0 .. km/2 - 1]`` followed by ``shift[km/2 .. km - 2]``. From each
-    moved pair ``(f, partner)``: all ``k`` diagonal cells of f's cycle and
-    all ``k`` shifted cells of the partner's cycle (one bipartition side of
-    the prism). The result is re-validated before being returned.
+    From the ladder: the greedy walk around the rim settles on the diagonal
+    cells ``0 .. km/2 - 1`` followed by the shifted cells
+    ``km/2 .. km - 2``. From orbit pair ``t``: the ``k`` diagonal cells of
+    cycle ``2t`` and the ``k`` shifted cells of cycle ``2t + 1`` (one
+    bipartition side of their prism). The result is re-validated before
+    being returned.
     """
     dec = witness.dec
     k, m = dec.sylow_order, dec.fixed_order
     km = k * m
-    half = km // 2
-    cells = list(witness.ladder_diag[:half])
-    cells.extend(witness.ladder_shift[half:km - 1])
-    for f, partner in dec.orbit_pairs:
-        cells.extend(witness.prism_diag[(f, i)] for i in range(k))
-        cells.extend(witness.prism_shift[(partner, i)] for i in range(k))
+    ladder, prisms = witness.ladder_cells, witness.prism_cells
+    shifted = len(prisms) // 2
+    cells = list(ladder[:km // 2] + ladder[km + km // 2:2 * km - 1])
+    for s in range(0, shifted, 2 * k):
+        cells.extend(prisms[s:s + k] + prisms[shifted + s + k:shifted + s + 2 * k])
 
     n = dec.group.n
     if len(cells) != n - 1:
@@ -383,8 +361,9 @@ def display_orders(witness: Witness) -> tuple[tuple[int, ...], tuple[int, ...]]:
     table = dec.group.table
     powers = dec.gen_powers
     moved = [x for pair in dec.orbit_pairs for x in pair]
-    rows = [cell[0] for cell in witness.ladder_diag]
-    cols = [cell[1] for cell in witness.ladder_diag]
+    km = dec.sylow_order * dec.fixed_order
+    rows = [cell[0] for cell in witness.ladder_cells[:km]]
+    cols = [cell[1] for cell in witness.ladder_cells[:km]]
     for p in powers:
         rows.extend(table[p][f] for f in moved)
         cols.extend(table[f][p] for f in moved)

@@ -6,7 +6,13 @@ The witness checks below certify, constructively, that the cells produced
 by the construction module induce one Möbius ladder (over the fixed block)
 plus a disjoint union of prisms (over the moved block), mirroring how the
 guarantee is proved rather than calling a generic isomorphism test. They
-all read one graph, induced on the ladder cells and then the prism cells.
+all read one graph, induced on the ladder cells and then the prism cells,
+and place each cell by its position in its family alone. A family lists
+its diagonal cells first and its shifted cells in the same order, so
+diagonal cell ``j`` sits at walk position ``2j`` and shifted cell ``j`` at
+``2j + 1``. The ladder's rim is walk positions ``0 .. 2km - 1``; prism
+cycle ``c`` is the block of ``2k`` positions from ``2kc``, and cycles
+``2t`` and ``2t + 1`` form prism ``t``.
 """
 
 from __future__ import annotations
@@ -14,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .construction import Witness, extract_near_transversal, rim_sequence
+from .construction import Witness, extract_near_transversal
 from .errors import DuplicateCell, TooLarge
 from .guards import ensure_within
-from .latin import Cell, LatinSquare
+from .latin import Cell, LatinSquare, cayley_square
 
 ROW = "row"
 COLUMN = "column"
@@ -39,9 +45,6 @@ class LabeledGraph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return masks
-
-    def edges_with_label(self, label: str) -> list[tuple[int, int]]:
-        return [(u, v) for u, v, lab in self.edges if lab == label]
 
     def block(self, start: int, stop: int) -> "LabeledGraph":
         """The subgraph on ``vertices[start:stop]``, renumbered from 0."""
@@ -252,7 +255,6 @@ class WitnessReport:
     separation: SeparationReport
     mobius: MobiusReport
     prisms: PrismReport
-    shape: WitnessShape
     size_ok: bool
     extracted_size: int
 
@@ -283,123 +285,108 @@ def check_separation(graph: LabeledGraph, witness: Witness) -> SeparationReport:
     return SeparationReport(not crossing, 0, cross)
 
 
+def _walk(family_size: int) -> list[int]:
+    """The walk position of each member of a family listed diagonal cells
+    first: diagonal cell ``j`` sits at ``2j``, shifted cell ``j`` at
+    ``2j + 1``."""
+    return list(range(0, family_size, 2)) + list(range(1, family_size, 2))
+
+
 def check_mobius(graph: LabeledGraph, witness: Witness) -> MobiusReport:
     """The ladder cells, first in the witness graph, induce a Möbius ladder.
 
     Certified structurally: one row, one column and one symbol edge per
-    vertex; the row/column edges are exactly the rim cycle of length 2km;
-    every symbol edge is an antipodal chord (rim offset km).
+    vertex; the row/column edges are exactly the rim cycle of length 2km,
+    joining consecutive walk positions; every symbol edge is an antipodal
+    chord (walk offset km).
     """
-    shape = WitnessShape.of(witness)
-    km = shape.ladder_size
-    rim = rim_sequence(witness)
+    km = WitnessShape.of(witness).ladder_size
+    rim = 2 * km
+    graph = graph.block(0, rim)
+    walk = _walk(rim)
     problems: list[str] = []
-
-    graph = graph.block(0, len(witness.ladder_cells))
-    position = {cell: i for i, cell in enumerate(rim)}
 
     for degs, cell in zip(graph.label_degrees(), graph.vertices):
         if any(degs[lab] != 1 for lab in LABELS):
             problems.append(f"vertex {cell} has label degrees {degs}")
             break
 
-    expected_rim = set()
-    for i, cell in enumerate(rim):
-        nxt = rim[(i + 1) % (2 * km)]
-        expected_rim.add(frozenset((position[cell], position[nxt])))
-    actual_rowcol = {
-        frozenset((position[graph.vertices[u]], position[graph.vertices[v]]))
-        for u, v in graph.edges_with_label(ROW) + graph.edges_with_label(COLUMN)
-    }
-    if actual_rowcol != expected_rim:
+    rim_edges = sym_count = 0
+    on_rim = True
+    offsets = set()
+    for u, v, lab in graph.edges:
+        d = (walk[v] - walk[u]) % rim
+        if lab == SYMBOL:
+            sym_count += 1
+            offsets.add(min(d, rim - d))
+        else:
+            rim_edges += 1
+            on_rim = on_rim and d in (1, rim - 1)
+    if not on_rim or rim_edges != rim:
         problems.append(
             f"row/column edges do not form the rim cycle "
-            f"({len(actual_rowcol)} edges vs {len(expected_rim)} expected)"
+            f"({rim_edges} edges vs {rim} expected)"
         )
-
-    offsets = set()
-    for u, v in graph.edges_with_label(SYMBOL):
-        pu = position[graph.vertices[u]]
-        pv = position[graph.vertices[v]]
-        d = (pv - pu) % (2 * km)
-        offsets.add(min(d, 2 * km - d))
-    sym_count = len(graph.edges_with_label(SYMBOL))
     if sym_count != km:
         problems.append(f"{sym_count} symbol edges, expected {km}")
     if offsets and offsets != {km}:
         problems.append(f"chords at rim offsets {sorted(offsets)}, expected only {km}")
 
-    return MobiusReport(not problems, 2 * km, tuple(sorted(offsets)), tuple(problems))
+    return MobiusReport(not problems, rim, tuple(sorted(offsets)), tuple(problems))
 
 
 def check_prisms(graph: LabeledGraph, witness: Witness) -> PrismReport:
     """The prism cells, last in the witness graph, induce (l-m)/2 disjoint
     prisms.
 
-    Certified structurally: the row/column edges are exactly the expected
-    2k-cycles, one per moved element, walked as diag/shift alternation; the
-    symbol edges form a perfect matching between paired cycles joining
-    position p to position p + k (mod 2k).
+    Certified structurally: the row/column edges are exactly the 2k-cycles,
+    one per moved element, each joining consecutive walk positions of one
+    block of 2k; the symbol edges form a perfect matching joining position
+    p of cycle 2t to position p + k (mod 2k) of cycle 2t + 1.
     """
-    dec = witness.dec
     shape = WitnessShape.of(witness)
-    k = shape.k
+    k, cycle = shape.k, shape.cycle_length
+    size = len(witness.prism_cells)
+    graph = graph.block(len(witness.ladder_cells), len(graph.vertices))
+    walk = _walk(size)
     problems: list[str] = []
 
-    cycles: dict[int, list[Cell]] = {}
-    for f in sorted(dec.moved_part):
-        seq = []
-        for i in range(k):
-            seq.append(witness.prism_diag[(f, i)])
-            seq.append(witness.prism_shift[(f, i)])
-        cycles[f] = seq
-
-    graph = graph.block(len(witness.ladder_cells), len(graph.vertices))
-    index = {cell: i for i, cell in enumerate(graph.vertices)}
-
-    expected_rowcol = set()
-    for seq in cycles.values():
-        for p, cell in enumerate(seq):
-            nxt = seq[(p + 1) % (2 * k)]
-            expected_rowcol.add(frozenset((index[cell], index[nxt])))
-    actual_rowcol = {
-        frozenset((u, v))
-        for u, v in graph.edges_with_label(ROW) + graph.edges_with_label(COLUMN)
-    }
-    if actual_rowcol != expected_rowcol:
+    cycle_edges = matching = 0
+    cycles_ok = matching_ok = True
+    for u, v, lab in graph.edges:
+        (cu, pu), (cv, pv) = sorted((divmod(walk[u], cycle), divmod(walk[v], cycle)))
+        if lab == SYMBOL:
+            matching += 1
+            matching_ok = (matching_ok and cu % 2 == 0 and cv == cu + 1
+                           and pv == (pu + k) % cycle)
+        else:
+            cycle_edges += 1
+            cycles_ok = cycles_ok and cu == cv and (pv - pu) % cycle in (1, cycle - 1)
+    if not cycles_ok or cycle_edges != size:
         problems.append(
             f"row/column edges do not form the expected cycles "
-            f"({len(actual_rowcol)} vs {len(expected_rowcol)})"
+            f"({cycle_edges} vs {size})"
         )
-
-    expected_matching = set()
-    for f, partner in dec.orbit_pairs:
-        for p in range(2 * k):
-            a = cycles[f][p]
-            b = cycles[partner][(p + k) % (2 * k)]
-            expected_matching.add(frozenset((index[a], index[b])))
-    actual_matching = {
-        frozenset((u, v)) for u, v in graph.edges_with_label(SYMBOL)
-    }
-    if actual_matching != expected_matching:
+    if not matching_ok or matching != size // 2:
         problems.append(
             f"symbol edges do not form the offset-{k} matching "
-            f"({len(actual_matching)} vs {len(expected_matching)})"
+            f"({matching} vs {size // 2})"
         )
 
-    return PrismReport(not problems, len(cycles), shape.prism_count, k,
+    return PrismReport(not problems, size // cycle, shape.prism_count, k,
                        tuple(problems))
 
 
-def check_witness(square: LatinSquare, witness: Witness) -> WitnessReport:
-    """Every structural check, read off the one witness graph of 2n cells.
+def check_witness(witness: Witness) -> WitnessReport:
+    """Every structural check, read off the one witness graph of 2n cells
+    in the group's Cayley square.
 
     Building the graph raises :class:`DuplicateCell` on a repeated cell;
     the re-extraction raises :class:`StructureViolation` unless its n - 1
     cells are independent.
     """
-    graph = induced_subgraph(square, witness.all_cells)
+    group = witness.dec.group
+    graph = induced_subgraph(cayley_square(group), witness.all_cells)
     return WitnessReport(check_separation(graph, witness), check_mobius(graph, witness),
-                         check_prisms(graph, witness), WitnessShape.of(witness),
-                         len(graph.vertices) == 2 * witness.dec.group.n,
+                         check_prisms(graph, witness), len(graph.vertices) == 2 * group.n,
                          len(extract_near_transversal(witness)))

@@ -188,7 +188,9 @@ def group_from_table(raw: np.ndarray | Sequence[Sequence[int]],
 
     ``raw`` is an n x n integer array or n rows of n integers. Raises
     :class:`NotLatin`, :class:`NoIdentity` or :class:`NotAssociative` with
-    the first offending row/element/triple named in the message.
+    the first offending row/element/triple named in the message;
+    ``names`` of the wrong count, repeated or holding whitespace raise
+    :class:`NotLatin` too.
     """
     n = len(raw)
     if n == 0:
@@ -234,11 +236,12 @@ def group_from_table(raw: np.ndarray | Sequence[Sequence[int]],
     else:
         names = tuple(str(x) for x in names)
         if len(names) != n:
-            raise ValueError(f"expected {n} names, got {len(names)}")
+            raise NotLatin(f"names: expected {n} element names, got {len(names)}")
         if len(set(names)) != n:
-            raise ValueError("element names must be unique")
+            dup = next(x for i, x in enumerate(names) if x in names[:i])
+            raise NotLatin(f"names: element name {dup!r} repeats")
         if any(any(ch.isspace() for ch in name) for name in names):
-            raise ValueError("element names must be whitespace-free")
+            raise NotLatin("names: element names must be whitespace-free")
 
     return Group(
         n=n,

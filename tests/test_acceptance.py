@@ -72,7 +72,8 @@ def test_criterion_1_order18_reference_layout():
             group.index_of(lbl) for lbl in model.row_labels)}
         col_pos = {g: j for j, g in enumerate(
             group.index_of(lbl) for lbl in model.col_labels)}
-        diag_cells = witness.ladder_diag + tuple(witness.prism_diag.values())
+        ladder, prisms = witness.ladder_cells, witness.prism_cells
+        diag_cells = ladder[:len(ladder) // 2] + prisms[:len(prisms) // 2]
         # the two diagonal families tile the main diagonal exactly
         assert {row_pos[r] for r, _ in diag_cells} == set(range(18))
         for r, cc in diag_cells:
@@ -106,7 +107,7 @@ def test_criterion_2_construction_soundness_to_order_200():
             square = ntk.cayley_square(group)
             ok, violation = ntk.is_partial_transversal(square, result.cells)
             assert ok, (entry.label, violation)
-            report = ntk.check_witness(square, result.witness)
+            report = ntk.check_witness(result.witness)
             assert report.separation.passed, entry.label
             assert report.mobius.passed, entry.label
             assert report.prisms.passed, entry.label
@@ -181,8 +182,11 @@ def test_criterion_6_independent_set_optimality():
             assert ok, entry.label
 
             # literal greedy around the rim reproduces the closed-form picks
-            rim = ntk.rim_sequence(witness)
-            ladder = ntk.induced_subgraph(square, witness.ladder_cells)
+            dec = witness.dec
+            km = dec.sylow_order * dec.fixed_order
+            lad = witness.ladder_cells
+            rim = [cell for pair in zip(lad[:km], lad[km:]) for cell in pair]
+            ladder = ntk.induced_subgraph(square, lad)
             index = {cell: i for i, cell in enumerate(ladder.vertices)}
             masks = ladder.adjacency_masks()
             mask = 0
@@ -191,17 +195,16 @@ def test_criterion_6_independent_set_optimality():
                 if not masks[index[cell]] & mask:
                     mask |= 1 << index[cell]
                     greedy.append(cell)
-            dec = witness.dec
-            km = dec.sylow_order * dec.fixed_order
-            closed_form = (list(witness.ladder_diag[:km // 2])
-                           + list(witness.ladder_shift[km // 2:km - 1]))
+            closed_form = list(lad[:km // 2]) + list(lad[km + km // 2:2 * km - 1])
             assert greedy == closed_form, entry.label
 
             # prism picks are one full bipartition side of every prism
-            for f, partner in dec.orbit_pairs:
-                picked = {cell for cell in result.cells
-                          if cell in set(witness.prism_diag[(f, i)] for i in range(dec.sylow_order))
-                          or cell in set(witness.prism_shift[(partner, i)] for i in range(dec.sylow_order))}
+            k, prisms = dec.sylow_order, witness.prism_cells
+            half = len(prisms) // 2
+            for t in range(len(dec.orbit_pairs)):
+                f_diag = prisms[2 * t * k:(2 * t + 1) * k]
+                partner_shift = prisms[half + (2 * t + 1) * k:half + (2 * t + 2) * k]
+                picked = set(result.cells) & set(f_diag + partner_shift)
                 assert len(picked) == 2 * dec.sylow_order
             checked += 1
         assert checked >= 25

@@ -298,3 +298,20 @@ def test_action_line_with_a_non_integer_is_named(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", f"sd:Z2,Z3,{path}")
     assert code == 1 and not out and _one_error_line(err)
     assert "action line 1" in err
+
+
+def test_table_names_line_with_a_wrong_count_is_named(capsys, tmp_path):
+    path = tmp_path / "z2.txt"
+    for names in ("a", "a b c"):
+        path.write_text(f"2\n0 1\n1 0\nnames: {names}\n")
+        code, out, err = run(capsys, "analyze", f"table:{path}")
+        assert code == 1 and not out and _one_error_line(err)
+        assert "names:" in err
+
+
+def test_table_names_line_with_a_repeat_is_named(capsys, tmp_path):
+    path = tmp_path / "z2.txt"
+    path.write_text("2\n0 1\n1 0\nnames: a a\n")
+    code, out, err = run(capsys, "analyze", f"table:{path}")
+    assert code == 1 and not out and _one_error_line(err)
+    assert "names:" in err

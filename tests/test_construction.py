@@ -99,10 +99,10 @@ def test_witness_cells_order18():
     e = group.identity
     bc = group.index_of("bc")
     c2 = group.index_of("c2")
-    assert witness.ladder_diag[0] == (e, e)
-    assert witness.ladder_shift[0] == (e, bc)
+    assert witness.ladder_cells[0] == (e, e)
+    assert witness.ladder_cells[6] == (e, bc)  # shifted cell 0, after km = 6
     assert group.mul(e, bc) == bc  # shown symbol
-    assert witness.ladder_diag[2] == (c2, c2)
+    assert witness.ladder_cells[2] == (c2, c2)
     assert group.mul(c2, c2) == group.index_of("c")
 
 
@@ -119,6 +119,58 @@ def test_witness_sizes_order18():
     assert len(witness.ladder_cells) == 12
     assert len(witness.prism_cells) == 24
     assert len(set(witness.all_cells)) == 36  # always 2n
+
+
+# the two families as the earlier four-family layout held them: ladder
+# diagonal then shifted cells, prism cells pair by pair in orbit_pairs order
+WITNESS_CELLS = {
+    "Z6": (
+        ((0, 0), (5, 5), (4, 4), (3, 3), (2, 2), (1, 1),
+         (0, 5), (5, 4), (4, 3), (3, 2), (2, 1), (1, 0)),
+        (),
+    ),
+    "S3 x Z3": (
+        ((0, 0), (4, 4), (2, 2), (3, 3), (1, 1), (5, 5),
+         (0, 4), (4, 2), (2, 3), (3, 1), (1, 5), (5, 0)),
+        ((9, 9), (15, 6), (12, 12), (6, 15), (10, 10), (16, 7),
+         (13, 13), (7, 16), (11, 11), (17, 8), (14, 14), (8, 17),
+         (9, 6), (15, 9), (12, 15), (6, 12), (10, 7), (16, 10),
+         (13, 16), (7, 13), (11, 8), (17, 11), (14, 17), (8, 14)),
+    ),
+    "D5": (
+        ((0, 0), (5, 5), (0, 5), (5, 0)),
+        ((1, 1), (6, 9), (4, 4), (9, 6), (2, 2), (7, 8), (3, 3), (8, 7),
+         (1, 9), (6, 1), (4, 6), (9, 4), (2, 8), (7, 2), (3, 7), (8, 3)),
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(WITNESS_CELLS))
+def test_witness_families_pinned(spec):
+    group, _ = parse_group_spec(spec)
+    witness = ntk.build_witness(ntk.decompose(group))
+    assert (witness.ladder_cells, witness.prism_cells) == WITNESS_CELLS[spec]
+    assert witness.all_cells == witness.ladder_cells + witness.prism_cells
+
+
+def test_witness_layout_contract_to_order_100():
+    for entry in cyclic_nontrivial_entries(100):
+        group = entry.group
+        witness = ntk.build_witness(ntk.decompose(group))
+        dec = witness.dec
+        k = dec.sylow_order
+        for cells, cycle in ((witness.ladder_cells, k * dec.fixed_order),
+                             (witness.prism_cells, k)):
+            half = len(cells) // 2
+            diag, shift = cells[:half], cells[half:]
+            for j in range(half):
+                assert diag[j][0] == shift[j][0], entry.label
+                start = j - j % cycle
+                assert shift[j][1] == diag[start + (j + 1) % cycle][1], entry.label
+        # cycle c of the prisms belongs to the c-th moved element, pair by pair
+        moved = [f for pair in dec.orbit_pairs for f in pair]
+        rows = [cell[0] for cell in witness.prism_cells[:len(moved) * k]]
+        assert rows == [group.mul(p, f) for f in moved for p in dec.gen_powers], entry.label
 
 
 def test_invalid_ordering_rejected():
@@ -144,7 +196,7 @@ def test_extract_z6_indices():
     dec = ntk.decompose(ntk.cyclic(6))
     witness = ntk.build_witness(dec)
     cells = ntk.extract_near_transversal(witness)
-    expected = witness.ladder_diag[:3] + witness.ladder_shift[3:5]
+    expected = witness.ladder_cells[:3] + witness.ladder_cells[6 + 3:6 + 5]
     assert cells == expected
     square = ntk.cayley_square(ntk.cyclic(6))
     size, _ = ntk.max_partial_transversal(square)
@@ -250,8 +302,7 @@ def test_construction_beyond_associativity_threshold():
     result = ntk.near_transversal(group)
     assert len(result.cells) == 519
     assert (result.k, result.l, result.m) == (8, 65, 65)
-    square = ntk.cayley_square(group)
-    assert ntk.check_witness(square, result.witness).passed
+    assert ntk.check_witness(result.witness).passed
 
 
 def test_result_json_schema():
@@ -282,5 +333,6 @@ def test_display_orders_cover_group_and_diagonalize():
         assert sorted(cols) == list(group.elements())
         row_pos = {g: i for i, g in enumerate(rows)}
         col_pos = {g: i for i, g in enumerate(cols)}
-        for r, c in witness.ladder_diag + tuple(witness.prism_diag.values()):
+        ladder, prisms = witness.ladder_cells, witness.prism_cells
+        for r, c in ladder[:len(ladder) // 2] + prisms[:len(prisms) // 2]:
             assert row_pos[r] == col_pos[c]

@@ -41,7 +41,7 @@ def test_all_four_cells_of_z2_form_a_clique():
     assert len(graph.vertices) == 4
     assert len(graph.edges) == 6
     # each pair shares exactly one of row/column/symbol
-    per_label = {lab: len(graph.edges_with_label(lab)) for lab in (ROW, COLUMN, SYMBOL)}
+    per_label = {lab: [e[2] for e in graph.edges].count(lab) for lab in (ROW, COLUMN, SYMBOL)}
     assert per_label == {ROW: 2, COLUMN: 2, SYMBOL: 2}
 
 
@@ -86,10 +86,10 @@ def test_witness_graphs_are_cubic_with_expected_symbol_counts():
         square = ntk.cayley_square(group)
         shape = WitnessShape.of(witness)
         ladder = ntk.induced_subgraph(square, witness.ladder_cells)
-        assert len(ladder.edges_with_label(SYMBOL)) == shape.ladder_size
+        assert [e[2] for e in ladder.edges].count(SYMBOL) == shape.ladder_size
         if witness.prism_cells:
             prisms = ntk.induced_subgraph(square, witness.prism_cells)
-            assert len(prisms.edges_with_label(SYMBOL)) == shape.k * (shape.l - shape.m)
+            assert [e[2] for e in prisms.edges].count(SYMBOL) == shape.k * (shape.l - shape.m)
         whole = ntk.induced_subgraph(square, witness.all_cells)
         assert all(m.bit_count() == 3 for m in whole.adjacency_masks())
 
@@ -107,11 +107,11 @@ def test_separation_detects_moved_row_fault():
     group = _s3_times_cyclic(3)
     witness = witness_for(group)
     # drag one prism cell into a ladder row
-    (key, (r, c)) = next(iter(witness.prism_diag.items()))
-    t_row = witness.ladder_diag[0][0]
-    tampered_diag = dict(witness.prism_diag)
-    tampered_diag[key] = (t_row, c)
-    tampered = dataclasses.replace(witness, prism_diag=tampered_diag)
+    c = witness.prism_cells[0][1]
+    t_row = witness.ladder_cells[0][0]
+    tampered_prisms = list(witness.prism_cells)
+    tampered_prisms[0] = (t_row, c)
+    tampered = dataclasses.replace(witness, prism_cells=tuple(tampered_prisms))
     report = ntk.check_separation(witness_graph(group, tampered), tampered)
     assert not report.passed
     assert report.cross_edges[ROW] >= 1
@@ -146,9 +146,9 @@ def test_mobius_detects_shifted_cell():
     h_wrong = witness.ordering[(i + 2) % dec.fixed_order]
     row = g.mul(powers[i % dec.sylow_order], witness.ordering[i % dec.fixed_order])
     bad_cell = (row, g.mul(h_wrong, powers[(i + 1) % dec.sylow_order]))
-    shift = list(witness.ladder_shift)
-    shift[i] = bad_cell
-    tampered = dataclasses.replace(witness, ladder_shift=tuple(shift))
+    cells = list(witness.ladder_cells)
+    cells[dec.sylow_order * dec.fixed_order + i] = bad_cell  # shifted cell i
+    tampered = dataclasses.replace(witness, ladder_cells=tuple(cells))
     report = ntk.check_mobius(witness_graph(group, tampered), tampered)
     assert not report.passed
 
@@ -168,21 +168,41 @@ def test_prism_certificates():
     assert report.passed and report.prism_count == 1
 
 
+def test_prisms_detects_swapped_cycles():
+    group = _s3_times_cyclic(3)
+    witness = witness_for(group)
+    k = witness.dec.sylow_order
+    # swap the first shifted cells of cycles 0 and 2, whose moved elements
+    # lie in different orbit pairs: the cell set, and so separation and the
+    # ladder, stay as they were
+    cells = list(witness.prism_cells)
+    first, other = len(cells) // 2, len(cells) // 2 + 2 * k
+    cells[first], cells[other] = cells[other], cells[first]
+    tampered = dataclasses.replace(witness, prism_cells=tuple(cells))
+    graph = witness_graph(group, tampered)
+    assert ntk.check_separation(graph, tampered).passed
+    assert ntk.check_mobius(graph, tampered).passed
+    report = ntk.check_prisms(graph, tampered)
+    assert not report.passed
+    assert len(report.problems) == 2
+    assert report.problems[0].startswith("row/column edges do not form the expected cycles")
+    assert report.problems[1].startswith(f"symbol edges do not form the offset-{k} matching")
+
+
 def test_full_witness_check_catalog():
     for group in cyclic_nontrivial_groups(100):
-        square = ntk.cayley_square(group)
-        report = ntk.check_witness(square, witness_for(group))
+        report = ntk.check_witness(witness_for(group))
         assert report.passed, group.label
 
 
 def test_witness_families_sharing_a_cell_raise_duplicate_cell():
     group = _s3_times_cyclic(3)
     witness = witness_for(group)
-    shared = dict(witness.prism_diag)
-    shared[next(iter(shared))] = witness.ladder_diag[0]
-    tampered = dataclasses.replace(witness, prism_diag=shared)
+    shared = list(witness.prism_cells)
+    shared[0] = witness.ladder_cells[0]
+    tampered = dataclasses.replace(witness, prism_cells=tuple(shared))
     with pytest.raises(DuplicateCell):
-        ntk.check_witness(ntk.cayley_square(group), tampered)
+        ntk.check_witness(tampered)
 
 
 def _bucket_cross_edges(square, left, right):
@@ -224,7 +244,7 @@ def test_one_graph_holds_both_sides_and_their_crossings(data):
 
 def test_witness_report_json_keys():
     group = ntk.cyclic(6)
-    report = ntk.check_witness(ntk.cayley_square(group), witness_for(group))
+    report = ntk.check_witness(witness_for(group))
     data = report.to_json()
     assert set(data) == {"claim1", "mobius", "prisms", "independentSetSize", "passed"}
     assert set(data["mobius"]) >= {"rimLength", "chordOffsets"}
