@@ -52,13 +52,6 @@ class LabeledGraph:
                       if start <= u and v < stop)
         return LabeledGraph(self.vertices[start:stop], edges)
 
-    def label_degrees(self) -> list[dict[str, int]]:
-        out = [{lab: 0 for lab in LABELS} for _ in self.vertices]
-        for u, v, lab in self.edges:
-            out[u][lab] += 1
-            out[v][lab] += 1
-        return out
-
 
 def induced_subgraph(square: LatinSquare, cells: Sequence[Cell]) -> LabeledGraph:
     """All and only the labeled edges among ``cells``.
@@ -306,15 +299,15 @@ def check_mobius(graph: LabeledGraph, witness: Witness) -> MobiusReport:
     walk = _walk(rim)
     problems: list[str] = []
 
-    for degs, cell in zip(graph.label_degrees(), graph.vertices):
-        if any(degs[lab] != 1 for lab in LABELS):
-            problems.append(f"vertex {cell} has label degrees {degs}")
-            break
-
+    size = len(graph.vertices)
+    degrees = {lab: [0] * size for lab in LABELS}  # degrees[lab][u]
     rim_edges = sym_count = 0
     on_rim = True
     offsets = set()
     for u, v, lab in graph.edges:
+        tally = degrees[lab]
+        tally[u] += 1
+        tally[v] += 1
         d = (walk[v] - walk[u]) % rim
         if lab == SYMBOL:
             sym_count += 1
@@ -322,6 +315,12 @@ def check_mobius(graph: LabeledGraph, witness: Witness) -> MobiusReport:
         else:
             rim_edges += 1
             on_rim = on_rim and d in (1, rim - 1)
+    ones = [1] * size
+    if any(tally != ones for tally in degrees.values()):
+        u = next(u for u in range(size)
+                 if any(tally[u] != 1 for tally in degrees.values()))
+        degs = {lab: degrees[lab][u] for lab in LABELS}
+        problems.append(f"vertex {graph.vertices[u]} has label degrees {degs}")
     if not on_rim or rim_edges != rim:
         problems.append(
             f"row/column edges do not form the rim cycle "

@@ -8,6 +8,17 @@ witness it returns is deterministic. The kernel checks forward: it keeps
 the candidate columns of every row not yet reached and cuts a branch as
 soon as those rows can no longer be completed, which removes only
 subtrees without a leaf.
+
+The kernel can also pin row 0 to column 0. In a group's Cayley table the
+right translations ``(g, h) -> (g, h*b)`` fix every row and permute the
+columns transitively, and they map partial transversals to partial
+transversals that cover the same rows. So a transversal through ``(0, c)``
+maps one-to-one onto one through ``(0, 0)``: the transversal count is n
+times the count of the column-0 subtree, and whenever some leaf covers row
+0 a leaf covers it in column 0, where the unpinned search looks first.
+The oracles pin only when ``_column_regular`` finds such a row-fixing
+autotopism for every column, which holds on every group table and every
+isotope of one.
 """
 
 from __future__ import annotations
@@ -138,8 +149,34 @@ def cells_from_json(data: Iterable[Sequence[int]],
 # ---------------------------------------------------------------------------
 # exhaustive oracles: thin wrappers over one search kernel
 
-def _search(rows: Sequence[Sequence[int]], skips: int = 0,
-            count: bool = False) -> tuple[int | None, ...] | int | None:
+def _column_regular(rows: Sequence[Sequence[int]]) -> bool:
+    """True iff, for every column c, some autotopism of the latin square
+    ``rows`` fixes every row and maps column 0 to c.
+
+    Such an autotopism ``(id, sigma, tau)`` with ``sigma(0) = c`` is unique
+    if it exists: column 0 against column c fixes the symbol map ``tau``,
+    and then row 0 fixes the column map ``sigma``. The check builds both
+    and tests ``L(r, sigma(j)) == tau(L(r, j))`` on every cell, O(n^3) in
+    all.
+    """
+    n = len(rows)
+    first = rows[0]
+    where = [0] * n  # where[s]: the column of symbol s in row 0
+    for j, s in enumerate(first):
+        where[s] = j
+    for c in range(1, n):
+        tau = [0] * n
+        for row in rows:
+            tau[row[0]] = row[c]
+        sigma = [where[tau[s]] for s in first]
+        for row in rows:
+            if [row[j] for j in sigma] != [tau[s] for s in row]:
+                return False
+    return True
+
+
+def _search(rows: Sequence[Sequence[int]], skips: int = 0, count: bool = False,
+            pin: bool = False) -> tuple[int | None, ...] | int | None:
     """Partial transversals of the square whose rows are ``rows``.
 
     Branches row-major, each row on ascending columns first and then, while
@@ -160,6 +197,13 @@ def _search(rows: Sequence[Sequence[int]], skips: int = 0,
     subtrees without a leaf and the branching order is the plain
     row-major one, so the first leaf and the count are those of the
     unpruned search.
+
+    With ``pin=True`` row 0 tries only column 0 (and, with ``skips``, may
+    still be left uncovered); nothing else changes. On a square where
+    ``_column_regular`` holds this keeps the first leaf, since a leaf that
+    covers row 0 exists iff one covers it in column 0, the first column the
+    unpinned search tries. For the same reason the pinned count with
+    ``skips=0`` is the number of transversals divided by n.
     """
     n = len(rows)
     full = (1 << n) - 1
@@ -207,7 +251,7 @@ def _search(rows: Sequence[Sequence[int]], skips: int = 0,
             found += dfs(r + 1, rest, free, skips - 1)
         return found
 
-    found = dfs(0, [full] * n, full, skips)
+    found = dfs(0, [1 if pin else full] + [full] * (n - 1), full, skips)
     if count:
         return found
     return tuple(picked) if found else None
@@ -217,14 +261,17 @@ def brute_force_transversal(square: LatinSquare, *,
                             guard: int | None = None) -> tuple[Cell, ...] | None:
     """Lexicographically first transversal, or None when none exists."""
     ensure_within("transversal", square.n, guard)
-    found = _search(square.cells)
+    found = _search(square.cells, pin=_column_regular(square.cells))
     return None if found is None else tuple(enumerate(found))
 
 
 def count_transversals(square: LatinSquare, *, guard: int | None = None) -> int:
-    """Exact number of transversals, by exhaustive backtracking."""
+    """Exact number of transversals, by exhaustive backtracking; n times
+    the count through cell (0, 0) when the columns are regular."""
     ensure_within("count", square.n, guard)
-    return _search(square.cells, count=True)
+    pin = _column_regular(square.cells)
+    found = _search(square.cells, count=True, pin=pin)
+    return square.n * found if pin else found
 
 
 def max_partial_transversal(square: LatinSquare, *,
@@ -236,8 +283,9 @@ def max_partial_transversal(square: LatinSquare, *,
     is also the first maximum-size leaf of the unbounded search.
     """
     ensure_within("max_partial", square.n, guard)
+    pin = _column_regular(square.cells)
     skips = 0
-    while (found := _search(square.cells, skips)) is None:
+    while (found := _search(square.cells, skips, pin=pin)) is None:
         skips += 1
     cells = tuple((r, c) for r, c in enumerate(found) if c is not None)
     return len(cells), cells

@@ -69,12 +69,13 @@ def find_complete_mapping(group: Group, *,
     table, so this is the first transversal of the latin search kernel read
     row by row: sigma(g) is the column chosen in row g, the smallest mapping.
     Absence is certified either by the abelianization test above or by
-    exhausting the search.
+    exhausting the search. A group table's right translations make its
+    columns regular, so the search pins row 0 to column 0 without checking.
     """
     ensure_within("complete_mapping", group.n, guard)
     if not _abelianized_product_is_identity(group):
         return None
-    return _search(group.table)
+    return _search(group.table, pin=True)
 
 
 def _resolve_members(group: Group, subgroup: Iterable[int] | None) -> list[int]:

@@ -122,7 +122,7 @@ def test_guard_exit_code(capsys):
     code, _, err = run(capsys, "oracle", "count", "Z12")
     assert code == 3
     assert "guard" in err
-    # the transversal guard stops searches that would run for minutes
+    # the transversal guard stops searches that would run for seconds
     code, _, err = run(capsys, "oracle", "transversal", "Z14")
     assert code == 3
     assert "guard" in err

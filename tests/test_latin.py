@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import ntk
 from ntk.catalog import builtin_catalog
 from ntk.errors import InvalidInput, NotLatin, NotPermutation, OrderTooLarge
-from ntk.latin import ROLES, _search
+from ntk.latin import ROLES, _column_regular, _search
 
 
 def test_cayley_square_examples():
@@ -148,12 +148,24 @@ def _plain_search(rows, skips=0, count=False):
     return tuple(picked) if found else None
 
 
-def _assert_kernel_matches_plain_search(rows, label, max_count_order=9):
+def _assert_oracles_match_plain_search(rows, label, max_count_order=9):
+    """The kernel and the oracle wrappers, which pin row 0 on
+    column-regular squares, against the unpinned plain search."""
     n = len(rows)
-    assert _search(rows) == _plain_search(rows), label
+    square = ntk.latin_square(rows)
+    first = _plain_search(rows)
+    assert _search(rows) == first, label
+    assert ntk.brute_force_transversal(square) == (
+        None if first is None else tuple(enumerate(first))), label
+    # no first leaf means no leaf: order 10 counts without the plain count
+    count = 0 if first is None else _plain_search(rows, count=True)
+    assert ntk.count_transversals(square) == count, label
+    best = first if first is not None else _plain_search(rows, 1)
+    cells = tuple((r, c) for r, c in enumerate(best) if c is not None)
+    assert ntk.max_partial_transversal(square, guard=n) == (len(cells), cells), label
     if n > 9:
         return
-    assert _search(rows, count=True) == _plain_search(rows, count=True), label
+    assert _search(rows, count=True) == count, label
     for skips in (1, 2):
         assert _search(rows, skips) == _plain_search(rows, skips), (label, skips)
         if n <= max_count_order:
@@ -162,10 +174,11 @@ def _assert_kernel_matches_plain_search(rows, label, max_count_order=9):
 
 
 def test_search_kernel_matches_plain_search_to_order_10():
-    # first leaf to order 10; counts and first leaves with 1 or 2 uncovered
-    # rows to order 9
+    # first leaf, transversal count and maximum partial transversal to
+    # order 10; kernel counts and first leaves with 1 or 2 uncovered rows to
+    # order 9
     for entry in builtin_catalog(10):
-        _assert_kernel_matches_plain_search(entry.group.table, entry.label)
+        _assert_oracles_match_plain_search(entry.group.table, entry.label)
 
 
 @settings(max_examples=30, deadline=None)
@@ -175,7 +188,36 @@ def test_search_kernel_matches_plain_search_on_isotopes(data):
     n = entry.group.n
     perms = [data.draw(st.permutations(range(n))) for _ in range(3)]
     square = ntk.apply_isotopy(ntk.cayley_square(entry.group), *perms)
-    _assert_kernel_matches_plain_search(square.cells, entry.label, max_count_order=8)
+    _assert_oracles_match_plain_search(square.cells, entry.label, max_count_order=8)
+
+
+# an order-6 latin square that is not the table of a group: its column-0
+# subtree holds 8 of its 32 transversals, so pinning it would count 48
+NON_GROUP_SQUARE = ((3, 4, 2, 0, 1, 5), (4, 5, 3, 1, 2, 0), (2, 3, 4, 5, 0, 1),
+                    (0, 1, 5, 3, 4, 2), (1, 2, 0, 4, 5, 3), (5, 0, 1, 2, 3, 4))
+
+
+def test_columns_regular_on_group_tables_and_not_on_a_non_group_square():
+    for entry in builtin_catalog(16):
+        assert _column_regular(entry.group.table), entry.label
+    assert not _column_regular(NON_GROUP_SQUARE)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_columns_regular_on_isotopes(data):
+    entry = data.draw(st.sampled_from(builtin_catalog(16)))
+    n = entry.group.n
+    perms = [data.draw(st.permutations(range(n))) for _ in range(3)]
+    square = ntk.apply_isotopy(ntk.cayley_square(entry.group), *perms)
+    assert _column_regular(square.cells), entry.label
+
+
+def test_non_group_square_is_searched_unpinned():
+    rows = NON_GROUP_SQUARE
+    assert _plain_search(rows, count=True) == 32
+    assert 6 * _search(rows, count=True, pin=True) == 48  # what a pin would claim
+    _assert_oracles_match_plain_search(rows, "non-group square")
 
 
 def test_transversal_presence_matches_sylow_class_to_order_10():

@@ -6,6 +6,7 @@ import ntk
 from ntk.catalog import builtin_catalog
 from ntk.errors import NotPermutation, OddOrderRequired, OrderTooLarge
 from ntk.groups import CYCLIC_NONTRIVIAL
+from ntk.latin import _search
 
 
 def test_identity_is_complete_for_odd_order():
@@ -59,6 +60,14 @@ def _all_complete_mappings(group):
         if len(products) == group.n:
             out.append(perm)
     return out
+
+
+def test_pinned_search_finds_the_unpinned_first_mapping_to_order_16():
+    for entry in builtin_catalog(16):
+        group = entry.group
+        sigma = ntk.find_complete_mapping(group)
+        if sigma is not None:
+            assert sigma == _search(group.table), entry.label
 
 
 def test_find_guard():
