@@ -19,9 +19,11 @@ Pipeline for a group whose Sylow 2-subgroup is cyclic and nontrivial:
 Groups with trivial or non-cyclic Sylow 2-subgroup instead take a full
 transversal from a complete mapping and drop one cell.
 
-Every step re-verifies its structural invariants and raises
-:class:`StructureViolation` on any failure, so a returned result is always
-a checked near transversal.
+Facts that follow from the group axioms, which every :class:`Group` has
+passed, are not re-checked. ``decompose`` checks the two that rest on
+Burnside's normal 2-complement theorem, and every returned cell set passes
+:func:`is_partial_transversal`, raising :class:`StructureViolation` if it
+fails, so a returned result is always a checked near transversal.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .groups import (
     _cached_orders,
     conjugation,
     is_subgroup,
-    subgroup_closure,
     sylow2,
 )
 from .latin import Cell, cayley_square, is_partial_transversal
@@ -125,14 +126,14 @@ class ConstructionResult:
 def decompose(group: Group, *, report: SylowReport | None = None) -> Decomposition:
     """Split a cyclic-nontrivial-Sylow group over its odd-order normal part.
 
-    The odd part is computed directly as the set of odd-order elements;
-    for a cyclic Sylow 2-subgroup this is exactly the normal complement,
-    and every property that makes it so is re-checked here (subgroup,
-    normality, size, unique factorization), raising
-    :class:`StructureViolation` if any fails. Normality is checked for
-    conjugation by G's generators, whose products give every element.
-    ``report`` is the group's :func:`sylow2` report when the caller has
-    one already; it is computed here otherwise.
+    The odd part H is the set of odd-order elements. That it is a subgroup
+    of order ``l = n/k`` is Burnside's normal 2-complement theorem, so it is
+    checked, raising :class:`StructureViolation`. The rest follows from the
+    group axioms and is not re-checked: H is normal and meets ``<b>`` only
+    in the identity, every element is ``b^i h`` in exactly one way, and the
+    twist is an involution whose fixed part ``C(a) ∩ H`` is a subgroup.
+    ``report`` is the group's :func:`sylow2` report when the caller has one
+    already; it is computed here otherwise.
     """
     if report is None:
         report = sylow2(group)
@@ -141,9 +142,8 @@ def decompose(group: Group, *, report: SylowReport | None = None) -> Decompositi
             f"Sylow 2-subgroup is {report.classification}; the ladder "
             "construction needs it cyclic and nontrivial"
         )
-    n = group.n
     k = report.k
-    l = n // k
+    l = group.n // k
     b = report.generator
     assert b is not None
     table = group.table
@@ -156,53 +156,17 @@ def decompose(group: Group, *, report: SylowReport | None = None) -> Decompositi
         )
     if not is_subgroup(group, odd_part):
         raise StructureViolation("odd-order elements do not form a subgroup")
-    for g in group.generators:
-        row, g_inv = table[g], group.inverses[g]
-        if any(table[row[h]][g_inv] not in odd_part for h in odd_part):
-            raise StructureViolation("odd part is not normal")
 
     gen_powers = []
     x = group.identity
     for _ in range(k):
         gen_powers.append(x)
         x = table[x][b]
-    factored = {table[p][h] for p in gen_powers for h in odd_part}
-    if len(factored) != n:
-        raise StructureViolation("generator powers times odd part do not cover G")
-    if subgroup_closure(group, {b}) & odd_part != {group.identity}:
-        raise StructureViolation("Sylow subgroup meets the odd part")
-
     a = gen_powers[k // 2]
     twist = conjugation(group, a)
-    for h in odd_part:
-        if twist[twist[h]] != h:
-            raise StructureViolation("twist is not an involution on the odd part")
-
     fixed_part = frozenset(h for h in odd_part if twist[h] == h)
-    m = len(fixed_part)
-    if not is_subgroup(group, fixed_part):
-        raise StructureViolation("twist fixed points do not form a subgroup")
-    if m % 2 == 0 or l % m != 0:
-        raise StructureViolation(f"fixed order m={m} must be odd and divide l={l}")
     moved_part = odd_part - fixed_part
-
-    conj_b = conjugation(group, b)
-    if {conj_b[h] for h in fixed_part} != fixed_part:
-        raise StructureViolation("generator conjugation does not preserve the fixed part")
-    if {conj_b[f] for f in moved_part} != moved_part:
-        raise StructureViolation("generator conjugation does not preserve the moved part")
-    if {table[f][f] for f in moved_part} != moved_part:
-        raise StructureViolation("squaring does not permute the moved part")
-    fixed_block = {table[p][h] for p in gen_powers for h in fixed_part}
-    moved_block = {table[p][f] for p in gen_powers for f in moved_part}
-    if fixed_block & moved_block:
-        raise StructureViolation("fixed and moved row blocks intersect")
-
-    pairs = tuple(
-        (f, twist[f]) for f in sorted(moved_part) if f < twist[f]
-    )
-    if 2 * len(pairs) != len(moved_part):
-        raise StructureViolation("twist is not fixed-point-free on the moved part")
+    pairs = tuple((f, twist[f]) for f in sorted(moved_part) if f < twist[f])
 
     return Decomposition(
         group=group,
@@ -213,7 +177,7 @@ def decompose(group: Group, *, report: SylowReport | None = None) -> Decompositi
         odd_order=l,
         twist=twist,
         fixed_part=fixed_part,
-        fixed_order=m,
+        fixed_order=len(fixed_part),
         moved_part=moved_part,
         orbit_pairs=pairs,
         gen_powers=tuple(gen_powers),
@@ -226,8 +190,10 @@ def build_witness(dec: Decomposition,
 
     ``ordering`` defaults to the deterministic harmonious ordering of the
     fixed part; a supplied override is re-verified and rejected with
-    :class:`InvalidOrdering` if it is not harmonious. The cells of each
-    family, and the two families, are checked pairwise distinct.
+    :class:`InvalidOrdering` if it is not harmonious. The ``2n`` cells are
+    pairwise distinct without a check: a row ``b^i h`` factors uniquely, and
+    with ``gcd(k, m) = 1`` the ladder rows ``b^i h_i`` run over ``km``
+    distinct pairs ``(i mod k, i mod m)``.
     """
     group = dec.group
     if ordering is None:
@@ -257,13 +223,6 @@ def build_witness(dec: Decomposition,
         for s in (0, 1) for f in moved for i in range(k)
     )
 
-    distinct = set(ladder)
-    if len(distinct) != 2 * km:
-        raise StructureViolation("ladder cells are not pairwise distinct")
-    if len(set(prisms)) != 2 * k * (dec.odd_order - m):
-        raise StructureViolation("prism cells are not pairwise distinct")
-    if not distinct.isdisjoint(prisms):
-        raise StructureViolation("ladder and prism cells intersect")
 
     return Witness(dec, ordering, ladder, prisms)
 
@@ -304,7 +263,8 @@ def near_transversal(group: Group, *,
     Dispatch: cyclic nontrivial Sylow 2-subgroup runs the ladder
     construction; odd order takes the identity complete mapping; non-cyclic
     Sylow searches for a complete mapping (guarded). The complete-mapping
-    branches drop the last diagonal cell of the full transversal.
+    branches drop the last diagonal cell of the full transversal; they take
+    no ordering, so one given for them raises :class:`InvalidOrdering`.
     """
     report = sylow2(group)
     n = group.n
@@ -325,6 +285,11 @@ def near_transversal(group: Group, *,
             witness=witness,
         )
 
+    if ordering is not None:
+        raise InvalidOrdering(
+            f"an ordering applies only to the ladder construction; the Sylow "
+            f"2-subgroup is {report.classification}"
+        )
     if n % 2 == 1:
         sigma: Sequence[int] | None = tuple(range(n))
     else:

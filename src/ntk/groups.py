@@ -30,13 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidAction,
-    NoIdentity,
-    NotAssociative,
-    NotLatin,
-    StructureViolation,
-)
+from .errors import InvalidAction, NoIdentity, NotAssociative, NotLatin
 
 # Rows of the table compared per step of the associativity check, so its
 # temporaries stay small next to the table itself.
@@ -108,10 +102,10 @@ class SylowReport:
 
     ``k`` is the largest power of 2 dividing the order. ``generator`` is the
     smallest-index element of order ``k`` and is present exactly when the
-    classification is cyclic-nontrivial.
+    classification is cyclic-nontrivial; no subgroup is reported, since
+    nothing reads one.
     """
 
-    subgroup: frozenset[int]
     k: int
     classification: str
     generator: int | None = None
@@ -519,49 +513,27 @@ def commutator_subgroup(group: Group) -> frozenset[int]:
     return subgroup_closure(group, comms)
 
 
-def _is_power_of_two(x: int) -> bool:
-    return x > 0 and x & (x - 1) == 0
-
-
 def sylow2(group: Group) -> SylowReport:
     """Classify the Sylow 2-subgroup: trivial, cyclic-nontrivial, non-cyclic.
 
-    ``k`` is the largest power of 2 dividing the order. When cyclic, the
-    generator is the smallest-index element of order ``k`` (deterministic)
-    and the reported subgroup is the one it generates; otherwise a Sylow
-    2-subgroup is located by closure search over 2-power-order elements
-    (any one is acceptable, the construction never consumes it).
+    ``k`` is the largest power of 2 dividing the order. A Sylow 2-subgroup
+    has order ``k``, so the Sylow 2-subgroups (all conjugate) are cyclic
+    exactly when some element has order ``k``; the generator is then the
+    smallest-index such element (deterministic). No subgroup is searched
+    for: Sylow's first theorem says one exists, and the construction never
+    consumes it.
     """
     n = group.n
     k = 1
     while n % (2 * k) == 0:
         k *= 2
     if k == 1:
-        return SylowReport(frozenset({group.identity}), 1, TRIVIAL)
+        return SylowReport(1, TRIVIAL)
     orders = _cached_orders(group)
     for g in group.elements():
         if orders[g] == k:
-            return SylowReport(subgroup_closure(group, {g}), k, CYCLIC_NONTRIVIAL, g)
-
-    candidates = [g for g in group.elements() if _is_power_of_two(orders[g])]
-
-    def extend(current: frozenset[int]) -> frozenset[int] | None:
-        if len(current) == k:
-            return current
-        for g in candidates:
-            if g in current:
-                continue
-            grown = subgroup_closure(group, current | {g})
-            if len(grown) <= k and _is_power_of_two(len(grown)):
-                found = extend(grown)
-                if found is not None:
-                    return found
-        return None
-
-    subgroup = extend(frozenset({group.identity}))
-    if subgroup is None:
-        raise StructureViolation("failed to locate a Sylow 2-subgroup")
-    return SylowReport(subgroup, k, NON_CYCLIC)
+            return SylowReport(k, CYCLIC_NONTRIVIAL, g)
+    return SylowReport(k, NON_CYCLIC)
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +558,8 @@ def group_from_text(text: str, label: str = "") -> Group:
         n = int(lines[0])
     except ValueError:
         raise NotLatin(f"first line must be the order, got {lines[0]!r}")
+    if n < 0:
+        raise NotLatin(f"first line must be a positive order, got {lines[0]!r}")
     if len(lines) < n + 1:
         raise NotLatin(f"expected {n} table rows, found {len(lines) - 1}")
     rows = []
@@ -596,10 +570,10 @@ def group_from_text(text: str, label: str = "") -> Group:
             raise NotLatin(f"row {len(rows)} has a non-integer entry: {line!r}") from None
     names = None
     rest = lines[1 + n:]
+    if rest and rest[0].startswith("names:"):
+        names = rest.pop(0)[len("names:"):].split()
     if rest:
-        if not rest[0].startswith("names:"):
-            raise NotLatin(f"unexpected trailing line {rest[0]!r}")
-        names = rest[0][len("names:"):].split()
+        raise NotLatin(f"unexpected trailing line {rest[0]!r}")
     return group_from_table(rows, names, label=label)
 
 

@@ -71,6 +71,14 @@ def test_construct_bad_ordering(capsys):
     assert "harmonious" in err or "ordering" in err
 
 
+def test_ordering_off_the_ladder_branch_is_refused(capsys):
+    for spec, ordering in (("Z5", "1,c"), ("Z5", "1,c2"), ("Z2 x Z2", "1·1,1·c")):
+        for command in ("construct", "render"):
+            code, out, err = run(capsys, command, spec, "--ordering", ordering)
+            assert code == 1 and not out and _one_error_line(err), (command, spec)
+            assert "ladder" in err
+
+
 def test_construct_z5_complete_mapping_branch(capsys):
     code, out, _ = run(capsys, "construct", "Z5", "--format", "json")
     assert code == 0
@@ -315,3 +323,19 @@ def test_table_names_line_with_a_repeat_is_named(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", f"table:{path}")
     assert code == 1 and not out and _one_error_line(err)
     assert "names:" in err
+
+
+def test_table_line_after_the_names_line_is_named(capsys, tmp_path):
+    path = tmp_path / "z2.txt"
+    path.write_text("2\n0 1\n1 0\nnames: a b\nextra\n")
+    code, out, err = run(capsys, "analyze", f"table:{path}")
+    assert code == 1 and not out and _one_error_line(err)
+    assert "'extra'" in err
+
+
+def test_table_negative_order_is_refused(capsys, tmp_path):
+    path = tmp_path / "neg.txt"
+    path.write_text("-1\n")
+    code, out, err = run(capsys, "analyze", f"table:{path}")
+    assert code == 1 and not out and _one_error_line(err)
+    assert "first line must be a positive order" in err

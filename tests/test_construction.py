@@ -5,7 +5,7 @@ from ntk import cli, construction
 from ntk.catalog import _s3_times_cyclic, builtin_catalog
 from ntk.construction import BRANCH_COMPLETE_MAPPING, BRANCH_CONSTRUCTION
 from ntk.errors import InvalidOrdering, NotApplicable
-from ntk.groups import CYCLIC_NONTRIVIAL
+from ntk.groups import CYCLIC_NONTRIVIAL, is_subgroup
 from ntk.groupspec import parse_group_spec
 
 
@@ -51,25 +51,41 @@ def test_decompose_not_applicable():
         ntk.decompose(ntk.dicyclic(2))  # non-cyclic Sylow
 
 
+# Large groups of every witness shape: ladder only, prisms only, both, a
+# generator of order 4, and a non-cyclic fixed part (Z3 x Z3), whose
+# ordering comes from backtracking.
+DECOMPOSITION_SPECS = ("Z2046", "D511", "S3 x Z85", "Dic127", "Z2 x Z255",
+                       "Z2 x Z3 x Z3")
+
+
 def test_decomposition_identities_across_catalog():
-    group_count = 0
-    for entry in cyclic_nontrivial_entries(60):
-        group = entry.group
+    """The facts ``decompose`` and ``build_witness`` take from the group
+    axioms without re-checking them hold at every witness shape."""
+    groups = [e.group for e in cyclic_nontrivial_entries(200)]
+    groups += [parse_group_spec(spec)[0] for spec in DECOMPOSITION_SPECS]
+    for group in groups:
         dec = ntk.decompose(group)
         k, l, m = dec.sylow_order, dec.odd_order, dec.fixed_order
-        assert group.n == k * l and m % 2 == 1 and l % m == 0
+        odd, fixed, moved = dec.odd_part, dec.fixed_part, dec.moved_part
+        assert group.n == k * l and m % 2 == 1 and l % m == 0, group.label
+        for g in group.generators:
+            assert {group.conjugate(g, h) for h in odd} == odd
+        assert set(dec.gen_powers) & odd == {group.identity}
+        assert all(dec.twist[dec.twist[h]] == h for h in odd)
+        assert is_subgroup(group, fixed)
         conj = ntk.conjugation(group, dec.sylow_gen)
-        assert {conj[h] for h in dec.fixed_part} == dec.fixed_part
-        assert {conj[f] for f in dec.moved_part} == dec.moved_part
-        assert {group.mul(f, f) for f in dec.moved_part} == dec.moved_part
+        assert {conj[h] for h in fixed} == fixed
+        assert {conj[f] for f in moved} == moved
+        assert {group.mul(f, f) for f in moved} == moved
+        paired = [f for pair in dec.orbit_pairs for f in pair]
+        assert len(paired) == len(moved) and set(paired) == moved
         powers = dec.gen_powers
-        fixed_block = {group.mul(p, h) for p in powers for h in dec.fixed_part}
-        moved_block = {group.mul(p, f) for p in powers for f in dec.moved_part}
+        fixed_block = {group.mul(p, h) for p in powers for h in fixed}
+        moved_block = {group.mul(p, f) for p in powers for f in moved}
         assert not fixed_block & moved_block
-        factored = {group.mul(p, h) for p in powers for h in dec.odd_part}
-        assert len(factored) == group.n
-        group_count += 1
-    assert group_count >= 20
+        assert len(fixed_block | moved_block) == group.n
+        assert len(set(ntk.build_witness(dec).all_cells)) == 2 * group.n
+    assert len(groups) == 197 + len(DECOMPOSITION_SPECS)
 
 
 def test_gen_powers_are_the_powers_of_the_sylow_generator():
@@ -179,6 +195,13 @@ def test_invalid_ordering_rejected():
         ntk.build_witness(dec, (0, 4, 2, 1))  # wrong length / not the subgroup
     with pytest.raises(InvalidOrdering):
         ntk.build_witness(dec, (0, 1, 2))  # not the fixed subgroup
+
+
+def test_ordering_refused_off_the_ladder_branch():
+    for group in (ntk.cyclic(5), ntk.direct_product(ntk.cyclic(2), ntk.cyclic(2))):
+        assert ntk.near_transversal(group).branch == BRANCH_COMPLETE_MAPPING
+        with pytest.raises(InvalidOrdering, match="ladder"):
+            ntk.near_transversal(group, ordering=(group.identity,))
 
 
 def test_ordering_override_is_used():
