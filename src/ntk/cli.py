@@ -2,7 +2,6 @@
 
 Exit codes: 0 verified/ok, 1 usage or parse problem, 2 verification
 failure, 3 search guard exceeded. Everything is deterministic.
-``NTK_GUARD_N`` in the environment overrides all search guards at once.
 """
 
 from __future__ import annotations
@@ -10,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import construction, graphs, latin, mappings, render
 from .catalog import builtin_catalog
@@ -33,14 +31,6 @@ EXIT_GUARD = 3
 _GUARD_ERRORS = (OrderTooLarge, TooLarge)
 
 
-@dataclass
-class RunConfig:
-    spec: str
-    fmt: str = "text"
-    ordering: list[str] | None = None
-    guard: int | None = None
-
-
 def _parse_ordering(group: Group, names: list[str]) -> list[int]:
     try:
         return [group.index_of(name) for name in names]
@@ -56,8 +46,8 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    group, label = parse_group_spec(cfg.spec)
+def cmd_analyze(spec: str, fmt: str) -> int:
+    group, label = parse_group_spec(spec)
     report = sylow2(group)
     payload: dict = {
         "group": label,
@@ -80,16 +70,16 @@ def cmd_analyze(cfg: RunConfig) -> int:
             "ladder construction not applicable; a full transversal exists "
             "(complete-mapping criterion)"
         )
-    _emit(payload, cfg.fmt)
+    _emit(payload, fmt)
     return EXIT_OK
 
 
-def cmd_construct(cfg: RunConfig) -> int:
-    group, label = parse_group_spec(cfg.spec)
-    ordering = _parse_ordering(group, cfg.ordering) if cfg.ordering else None
-    result = construction.near_transversal(group, ordering=ordering, guard=cfg.guard)
+def cmd_construct(spec: str, fmt: str, names: list[str] | None, guard: int | None) -> int:
+    group, label = parse_group_spec(spec)
+    ordering = _parse_ordering(group, names) if names else None
+    result = construction.near_transversal(group, ordering=ordering, guard=guard)
     payload = construction.result_json(result, label)
-    if cfg.fmt == "json":
+    if fmt == "json":
         print(json.dumps(payload, indent=2))
     else:
         print(f"group: {label}  branch: {result.branch}  cells: {len(result.cells)}")
@@ -98,19 +88,19 @@ def cmd_construct(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    group, label = parse_group_spec(cfg.spec)
+def cmd_verify(spec: str, fmt: str, names: list[str] | None) -> int:
+    group, label = parse_group_spec(spec)
     report = sylow2(group)
     if report.classification != CYCLIC_NONTRIVIAL:
         raise NotApplicable(
             f"{label}: Sylow 2-subgroup is {report.classification}; verification "
             "applies only to the cyclic nontrivial case of the dichotomy"
         )
-    ordering = _parse_ordering(group, cfg.ordering) if cfg.ordering else None
+    ordering = _parse_ordering(group, names) if names else None
     dec = construction.decompose(group, report=report)
     wreport = graphs.check_witness(construction.build_witness(dec, ordering))
     payload = {"group": label, **wreport.to_json()}
-    if cfg.fmt == "json":
+    if fmt == "json":
         print(json.dumps(payload, indent=2))
     else:
         print(f"group: {label}")
@@ -124,34 +114,34 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if wreport.passed else EXIT_VERIFY
 
 
-def cmd_oracle(cfg: RunConfig, which: str) -> int:
-    group, label = parse_group_spec(cfg.spec)
+def cmd_oracle(spec: str, which: str, fmt: str, guard: int | None) -> int:
+    group, label = parse_group_spec(spec)
     square = latin.cayley_square(group)
     payload: dict = {"group": label, "oracle": which}
     if which == "transversal":
-        found = latin.brute_force_transversal(square, guard=cfg.guard)
+        found = latin.brute_force_transversal(square, guard=guard)
         payload["present"] = found is not None
         payload["cells"] = latin.cells_to_json(square, found) if found else None
     elif which == "count":
-        payload["count"] = latin.count_transversals(square, guard=cfg.guard)
+        payload["count"] = latin.count_transversals(square, guard=guard)
     elif which == "maxpartial":
-        size, cells = latin.max_partial_transversal(square, guard=cfg.guard)
+        size, cells = latin.max_partial_transversal(square, guard=guard)
         payload["size"] = size
         payload["cells"] = latin.cells_to_json(square, cells)
     else:  # completemapping
-        sigma = mappings.find_complete_mapping(group, guard=cfg.guard)
+        sigma = mappings.find_complete_mapping(group, guard=guard)
         payload["present"] = sigma is not None
         payload["sigma"] = [group.names[v] for v in sigma] if sigma else None
-    _emit(payload, cfg.fmt)
+    _emit(payload, fmt)
     return EXIT_OK
 
 
-def cmd_render(cfg: RunConfig) -> int:
-    group, label = parse_group_spec(cfg.spec)
-    ordering = _parse_ordering(group, cfg.ordering) if cfg.ordering else None
-    result = construction.near_transversal(group, ordering=ordering, guard=cfg.guard)
+def cmd_render(spec: str, fmt: str, names: list[str] | None, guard: int | None) -> int:
+    group, label = parse_group_spec(spec)
+    ordering = _parse_ordering(group, names) if names else None
+    result = construction.near_transversal(group, ordering=ordering, guard=guard)
     model = render.render_model(result)
-    if cfg.fmt == "latex":
+    if fmt == "latex":
         sys.stdout.write(render.latex_table(model))
     else:
         sys.stdout.write(render.ascii_table(model))
@@ -251,16 +241,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "catalog":
             return cmd_catalog(args.max_order, args.filter, guard, fmt)
-        cfg = RunConfig(spec=args.spec, fmt=fmt, ordering=ordering, guard=guard)
         if args.command == "analyze":
-            return cmd_analyze(cfg)
+            return cmd_analyze(args.spec, fmt)
         if args.command == "construct":
-            return cmd_construct(cfg)
+            return cmd_construct(args.spec, fmt, ordering, guard)
         if args.command == "verify":
-            return cmd_verify(cfg)
+            return cmd_verify(args.spec, fmt, ordering)
         if args.command == "oracle":
-            return cmd_oracle(cfg, args.which)
-        return cmd_render(cfg)
+            return cmd_oracle(args.spec, args.which, fmt, guard)
+        return cmd_render(args.spec, fmt, ordering, guard)
     except _GUARD_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

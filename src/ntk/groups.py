@@ -1,18 +1,22 @@
 """Finite groups as explicit multiplication tables.
 
 Elements are dense indices ``0..n-1``. The identity is located by scan, so
-file-loaded tables may place it anywhere; the built-in constructors always
-put it at index 0 and name it ``"1"``. All types are immutable after
-construction and every operation here is a pure function, so values can be
-shared freely across threads.
+file-loaded tables may place it anywhere; the word constructors put it at
+index 0 and name it ``"1"``, and a product puts it at the pair of its
+factors' identities. All types are immutable after construction and every
+operation here is a pure function, so values can be shared freely across
+threads.
 
-Validation is always on: the latin property, a two-sided identity, and
-associativity are checked at every order before a :class:`Group` is handed
-out. Associativity is checked by Light's test over a generating set, which
-is exact and costs O(n^2) per generator; that generating set is kept on
-the group. Tables are validated, and the built-in constructors build them,
-as numpy arrays, but a group holds its table as tuples whose n^2 entries
-share n int objects.
+Tables that come in are checked; tables built here are not.
+:func:`group_from_table` checks the latin property, a two-sided identity
+and associativity, by Light's test over a generating set (exact, O(n^2)
+per generator). The constructors build groups by their formulas: words in
+Z_n, D_n, Dic_n and S_n, pairs for a direct product, and a twisted product
+whose action :func:`semidirect` checks to be a homomorphism into Aut(H),
+which is exactly what makes it a group. The test suite passes their tables
+back through :func:`group_from_table`. Names are checked on every route.
+Tables are built and checked as numpy arrays, but a group holds its table
+as tuples whose n^2 entries share n int objects.
 
 Structural facts are computed once and checked over generators: element
 orders are cached on the group on first use, and subgroup tests and
@@ -49,9 +53,7 @@ class Group:
     ``table[g][h]`` is the index of the product ``g*h``. ``names`` holds one
     whitespace-free display string per element; ``label`` is a cosmetic tag
     (e.g. the CLI group string that produced the group) and never
-    participates in comparisons. ``generators`` is the greedy generating
-    set that validation found: every element is a product of them, so
-    closure and normality hold for all of G once they hold for these.
+    participates in comparisons. ``inverses[g]`` is the inverse of ``g``.
     """
 
     n: int
@@ -59,7 +61,6 @@ class Group:
     identity: int
     names: tuple[str, ...]
     inverses: tuple[int, ...] = field(compare=False)
-    generators: tuple[int, ...] = field(compare=False)
     label: str = field(default="", compare=False)
     _index_of: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _orders: list = field(default_factory=list, init=False, repr=False, compare=False)
@@ -111,8 +112,9 @@ class SylowReport:
     generator: int | None = None
 
 
-def _generate(table: Sequence[Sequence[int]], identity: int, candidates: Iterable[int],
-              within: set[int] | None = None) -> tuple[list[int], set[int]] | None:
+def _generate(table: np.ndarray | Sequence[Sequence[int]], identity: int,
+              candidates: Iterable[int], within: set[int] | None = None
+              ) -> tuple[list[int], set[int]] | None:
     """Greedy generators taken from ``candidates``, and the subgroup they generate.
 
     Each candidate not yet reached becomes a generator, and the reached set
@@ -140,15 +142,16 @@ def _generate(table: Sequence[Sequence[int]], identity: int, candidates: Iterabl
     return gens, reached
 
 
-def _check_associative(arr: np.ndarray, rows: Sequence[Sequence[int]],
-                       gens: Sequence[int]) -> None:
-    """Light's test: ``(x*a)*y == x*(a*y)`` for every x, y and generator a.
+def _check_associative(arr: np.ndarray, identity: int) -> None:
+    """Light's test: ``(x*a)*y == x*(a*y)`` for every x, y and each a in a
+    greedy generating set.
 
     The elements a that pass for all x, y are closed under the product and
     include the identity, so they contain everything the generators reach;
     the check is therefore exact.
     """
-    n = len(rows)
+    n = len(arr)
+    gens, _ = _generate(arr, identity, range(n))
     for a in gens:
         right, left = arr[:, a], arr[a]
         for lo in range(0, n, _ASSOC_BLOCK_ROWS):
@@ -156,10 +159,9 @@ def _check_associative(arr: np.ndarray, rows: Sequence[Sequence[int]],
             rhs = arr[lo:lo + _ASSOC_BLOCK_ROWS][:, left]  # x*(a*y)
             if not np.array_equal(lhs, rhs):
                 x, y = map(int, np.argwhere(lhs != rhs)[0])
-                x += lo
                 raise NotAssociative(
-                    f"(x*a)*y != x*(a*y) for (x,a,y) = ({x},{a},{y}): "
-                    f"{rows[rows[x][a]][y]} != {rows[x][rows[a][y]]}"
+                    f"(x*a)*y != x*(a*y) for (x,a,y) = ({x + lo},{a},{y}): "
+                    f"{lhs[x, y]} != {rhs[x, y]}"
                 )
 
 
@@ -212,18 +214,26 @@ def group_from_table(raw: np.ndarray | Sequence[Sequence[int]],
     if both.size == 0:
         raise NoIdentity("no two-sided identity element")
     identity = int(both[0])
+    # A latin square with an identity that is associative is a group, so
+    # every element has a two-sided inverse and nothing more is checked.
+    _check_associative(arr, identity)
+    return _group(arr, identity, names, label)
 
+
+def _group(arr: np.ndarray, identity: int, names: Sequence[str] | None,
+           label: str) -> Group:
+    """Wrap a group table, whose identity the caller knows, as a :class:`Group`.
+
+    The table itself is not checked: it comes from :func:`group_from_table`
+    after its checks, or from a constructor whose formula is a group. The
+    caller's ``names`` are checked, as they come from outside.
+    """
+    n = len(arr)
     # Row by row, every entry is looked up in ``pool``, so the n^2 entries of
     # the table share its n int objects instead of holding one each.
     pool = np.arange(n).astype(object)
     table = tuple(tuple(pool[row].tolist()) for row in arr)
-    generators, _ = _generate(table, identity, range(n))
-    _check_associative(arr, table, generators)
-
     inv = (arr == identity).argmax(axis=1)
-    if not np.array_equal(arr[inv, ident], np.full(n, identity)):
-        g = int(np.flatnonzero(arr[inv, ident] != identity)[0])
-        raise NotAssociative(f"element {g} has no two-sided inverse")
 
     if names is None:
         names = tuple(str(i) for i in range(n))
@@ -243,7 +253,6 @@ def group_from_table(raw: np.ndarray | Sequence[Sequence[int]],
         identity=identity,
         names=names,
         inverses=tuple(inv.tolist()),
-        generators=tuple(generators),
         label=label,
     )
 
@@ -303,7 +312,7 @@ def cyclic(n: int, gen: str = "c") -> Group:
     r = np.arange(n)
     table = (r[:, None] + r[None, :]) % n
     names = [_pow_word(gen, i) for i in range(n)]
-    return group_from_table(table, names, label=f"Z{n}")
+    return _group(table, 0, names, f"Z{n}")
 
 
 def _word_exponents(size: int) -> tuple[np.ndarray, ...]:
@@ -326,7 +335,7 @@ def dihedral(n: int, gens: tuple[str, str] = ("r", "s")) -> Group:
     table = (j1 ^ j2) * n + (np.where(j2 == 0, i1, -i1) + i2) % n
     names = [_concat_words((_pow_word(sg, j), _pow_word(rg, i)))
              for j in range(2) for i in range(n)]
-    return group_from_table(table, names, label=f"D{n}")
+    return _group(table, 0, names, f"D{n}")
 
 
 def dicyclic(n: int, gens: tuple[str, str] = ("a", "x")) -> Group:
@@ -342,7 +351,7 @@ def dicyclic(n: int, gens: tuple[str, str] = ("a", "x")) -> Group:
     table = (j1 ^ j2) * two_n + (i1 + np.where(j1 == 0, i2, -i2) + n * (j1 & j2)) % two_n
     names = [_concat_words((_pow_word(ag, i), xg if j else "1"))
              for j in range(2) for i in range(two_n)]
-    return group_from_table(table, names, label=f"Dic{n}")
+    return _group(table, 0, names, f"Dic{n}")
 
 
 def symmetric(n: int) -> Group:
@@ -361,7 +370,7 @@ def symmetric(n: int) -> Group:
     codes = arr @ weights
     table = np.stack([np.searchsorted(codes, p[arr] @ weights) for p in arr])
     names = [_cycle_notation(p) for p in perms]
-    return group_from_table(table, names, label=f"S{n}")
+    return _group(table, 0, names, f"S{n}")
 
 
 def direct_product(a: Group, b: Group, label: str = "") -> Group:
@@ -372,7 +381,7 @@ def direct_product(a: Group, b: Group, label: str = "") -> Group:
     names = _product_names(a.names, b.names)
     if not label and a.label and b.label:
         label = f"{a.label} x {b.label}"
-    return group_from_table(table.reshape(n, n), names, label=label)
+    return _group(table.reshape(n, n), a.identity * nb + b.identity, names, label)
 
 
 def semidirect(k_part: Group, h_part: Group,
@@ -416,7 +425,8 @@ def semidirect(k_part: Group, h_part: Group,
     twisted = acts[list(k_part.inverses)]
     table = tk[:, None, :, None] * nh + th[twisted.T][None, :, :, :]
     names = _product_names(k_part.names, h_part.names)
-    return group_from_table(table.reshape(n, n), names, label=label)
+    return _group(table.reshape(n, n), k_part.identity * nh + h_part.identity,
+                  names, label)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from ntk import catalog, groups
 from ntk.catalog import builtin_catalog
 from ntk.errors import InvalidAction, NoIdentity, NotAssociative, NotLatin
 from ntk.groups import CYCLIC_NONTRIVIAL, NON_CYCLIC, TRIVIAL
+from ntk.groupspec import parse_group_spec
 
 REPEATED_ROW = [[0, 1], [1, 1]]
 OUT_OF_RANGE = [[0, 2], [2, 0]]
@@ -95,7 +96,7 @@ def test_array_and_nested_list_give_equal_groups():
         from_list = ntk.group_from_table([list(row) for row in g.table], g.names)
         from_array = ntk.group_from_table(np.array(g.table), g.names)
         assert from_array == from_list
-        for attr in ("table", "identity", "inverses", "names", "generators"):
+        for attr in ("table", "identity", "inverses", "names"):
             assert getattr(from_array, attr) == getattr(from_list, attr)
 
 
@@ -105,14 +106,38 @@ def test_table_entries_share_one_int_per_element():
     assert len({id(x) for row in table for x in row}) == 1000
 
 
+# Large groups of every witness shape and S6; the constructors build their
+# tables without checking them, so the suite checks them here.
+LARGE_SPECS = ("Z2046", "D511", "S3 x Z85", "Dic127", "Z2 x Z255", "S6")
+
+
+def _identity_off_zero_products():
+    """A direct and a twisted product over Z2 with its identity at index 1."""
+    z2 = ntk.group_from_table([[1, 0], [0, 1]], ("s", "1"))
+    z3 = ntk.cyclic(3)
+    inversion = [(0, 2, 1), (0, 1, 2)]  # s inverts, the identity fixes
+    return [ntk.direct_product(z2, z3), ntk.semidirect(z2, z3, inversion),
+            ntk.direct_product(z3, z2)]
+
+
 def test_round_trip_catalog():
-    for entry in small_catalog():
-        g = entry.group
+    """Every built-in constructor's table passes ``group_from_table``'s
+    checks and gives the same group, identity and inverses included."""
+    built = [entry.group for entry in builtin_catalog(200)]
+    built += [parse_group_spec(spec)[0] for spec in LARGE_SPECS]
+    built += _identity_off_zero_products()
+    for g in built:
         again = ntk.group_from_table(g.table, g.names)
-        assert again.n == g.n
-        assert again.table == g.table
-        assert again.identity == g.identity
-        assert again.names == g.names
+        assert again == g, g.label
+        for attr in ("n", "table", "identity", "inverses", "names"):
+            assert getattr(again, attr) == getattr(g, attr), (g.label, attr)
+    assert len(built) == 383 + len(LARGE_SPECS) + 3
+    assert [g.identity for g in built[-3:]] == [3, 3, 1]
+
+
+def test_constructor_names_are_checked():
+    with pytest.raises(NotLatin, match="^names: element names must be whitespace-free$"):
+        ntk.cyclic(3, "a b")
 
 
 def test_text_format_round_trip(tmp_path):

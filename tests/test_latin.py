@@ -253,15 +253,6 @@ def test_guard_override_allows_larger():
     assert ntk.count_transversals(square, guard=11) > 0
 
 
-def test_guard_env_override(monkeypatch):
-    square = ntk.cayley_square(ntk.cyclic(11))
-    monkeypatch.setenv("NTK_GUARD_N", "11")
-    assert ntk.count_transversals(square) > 0
-    monkeypatch.setenv("NTK_GUARD_N", "3")
-    with pytest.raises(OrderTooLarge):
-        ntk.count_transversals(square)
-
-
 # ---------------------------------------------------------------------------
 # extendability
 
