@@ -13,6 +13,7 @@ import sys
 from . import construction, graphs, latin, mappings, render
 from .catalog import builtin_catalog
 from .errors import (
+    InvalidInput,
     InvalidOrdering,
     NotApplicable,
     NtkError,
@@ -21,7 +22,7 @@ from .errors import (
     TooLarge,
 )
 from .groups import CYCLIC_NONTRIVIAL, Group, sylow2
-from .groupspec import parse_group_spec
+from .groupspec import MAX_SPEC_ORDER, parse_group_spec
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -149,6 +150,8 @@ def cmd_render(spec: str, fmt: str, names: list[str] | None, guard: int | None) 
 
 
 def cmd_catalog(max_order: int, flt: str, guard: int | None, fmt: str) -> int:
+    if max_order > MAX_SPEC_ORDER:
+        raise InvalidInput(f"--max-order {max_order} beyond the supported {MAX_SPEC_ORDER}")
     entries = builtin_catalog(max_order)
     lines = []
     failures = 0

@@ -512,13 +512,18 @@ def conjugation(group: Group, a: int) -> tuple[int, ...]:
     return tuple(group.conjugate(a, h) for h in group.elements())
 
 
-def commutator_subgroup(group: Group) -> frozenset[int]:
+def commutator_subgroup(group: Group, members: Iterable[int] | None = None) -> frozenset[int]:
+    """The derived subgroup of the group, or of the subgroup ``members``,
+    generated by the [a, s] with s in a generating set, since
+    ``[a, bs] = [a, b] [ba, s] [b, s]^-1``."""
     table = group.table
     inv = group.inverses
+    members = group.elements() if members is None else list(members)
+    gens, _ = _generate(table, group.identity, members)
     comms = {
         table[table[a][b]][table[inv[a]][inv[b]]]
-        for a in group.elements()
-        for b in group.elements()
+        for a in members
+        for b in gens
     }
     return subgroup_closure(group, comms)
 
@@ -560,26 +565,32 @@ def group_to_text(group: Group) -> str:
     return "\n".join(lines) + "\n"
 
 
-def group_from_text(text: str, label: str = "") -> Group:
+def _read_rows(text: str, what: str) -> tuple[list[list[int]], list[str]]:
+    """The n integer rows under the order line and the lines after them, for
+    the table and square formats; ``what`` names the file in messages."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
-        raise NotLatin("empty table file")
+        raise NotLatin(f"empty {what} file")
     try:
         n = int(lines[0])
     except ValueError:
-        raise NotLatin(f"first line must be the order, got {lines[0]!r}")
+        raise NotLatin(f"first line must be the order, got {lines[0]!r}") from None
     if n < 0:
         raise NotLatin(f"first line must be a positive order, got {lines[0]!r}")
     if len(lines) < n + 1:
-        raise NotLatin(f"expected {n} table rows, found {len(lines) - 1}")
+        raise NotLatin(f"expected {n} {what} rows, found {len(lines) - 1}")
     rows = []
     for line in lines[1:n + 1]:
         try:
             rows.append([int(x) for x in line.split()])
         except ValueError:
             raise NotLatin(f"row {len(rows)} has a non-integer entry: {line!r}") from None
+    return rows, lines[n + 1:]
+
+
+def group_from_text(text: str, label: str = "") -> Group:
+    rows, rest = _read_rows(text, "table")
     names = None
-    rest = lines[1 + n:]
     if rest and rest[0].startswith("names:"):
         names = rest.pop(0)[len("names:"):].split()
     if rest:

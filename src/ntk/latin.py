@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInput, NotLatin, NotPermutation
 from .guards import ensure_within
-from .groups import Group
+from .groups import Group, _read_rows
 
 Cell = tuple[int, int]
 
@@ -396,13 +396,10 @@ def square_to_text(square: LatinSquare) -> str:
 
 
 def square_from_text(text: str) -> LatinSquare:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise NotLatin("empty square file")
-    n = int(lines[0])
-    if len(lines) != n + 1:
-        raise NotLatin(f"expected {n} rows, found {len(lines) - 1}")
-    return latin_square([[int(x) for x in lines[1 + i].split()] for i in range(n)])
+    rows, rest = _read_rows(text, "square")
+    if rest:
+        raise NotLatin(f"unexpected trailing line {rest[0]!r}")
+    return latin_square(rows)
 
 
 def load_square(path: str | Path) -> LatinSquare:

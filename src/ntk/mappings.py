@@ -4,12 +4,14 @@ A complete mapping of a group G is a permutation ``sigma`` of its elements
 for which ``g -> g*sigma(g)`` is again a bijection; its graph is exactly a
 transversal of the multiplication table. A harmonious ordering of an
 odd-order (sub)group lists the elements so that consecutive products
-``h_i * h_{i+1}`` (cyclically) are pairwise distinct.
+``h_i * h_{i+1}`` (cyclically) are pairwise distinct; it is built, not
+searched for, by lifting over a cyclic quotient.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -20,7 +22,7 @@ from .errors import (
     StructureViolation,
 )
 from .guards import ensure_within
-from .groups import Group, _cached_orders, commutator_subgroup, is_subgroup
+from .groups import Group, _cached_orders, commutator_subgroup, is_subgroup, subgroup_closure
 from .latin import _search
 
 Collision = namedtuple("Collision", "kind i j value")
@@ -88,95 +90,82 @@ def _resolve_members(group: Group, subgroup: Iterable[int] | None) -> list[int]:
 
 
 def harmonious_ordering(group: Group,
-                        subgroup: Iterable[int] | None = None,
-                        *, closed_form: bool = True) -> tuple[int, ...]:
-    """A harmonious ordering of an odd-order subgroup (whole group by default).
-
-    Cyclic subgroups get the closed form ``h_i = g^i`` for the smallest-index
-    generator g: consecutive products are then ``g^(2i+1)``, distinct because
-    2 is invertible modulo an odd order. Everything else (or everything, with
-    ``closed_form=False``) falls back to a lexicographic backtracking search
-    pinned at ``h_0 = identity`` (cyclic shifts of a harmonious ordering stay
-    harmonious, so pinning loses nothing and keeps the output deterministic).
-    """
+                        subgroup: Iterable[int] | None = None) -> tuple[int, ...]:
+    """A harmonious ordering of an odd-order subgroup (whole group by default)
+    from the identity: ``g^i`` for the smallest-index generator g if cyclic."""
     members = _resolve_members(group, subgroup)
-    m = len(members)
-    if m % 2 == 0:
-        raise OddOrderRequired(f"subgroup order {m} is even")
+    if len(members) % 2 == 0:
+        raise OddOrderRequired(f"subgroup order {len(members)} is even")
+    ordering = _lift(group, members)
+    ok, collision = _check_successors(group, ordering, members)
+    if not ok:
+        raise StructureViolation(f"lifted ordering failed: {collision}")
+    return ordering
 
-    gen = None
-    if closed_form:
-        orders = _cached_orders(group)
-        gen = next((g for g in members if orders[g] == m), None)
-    if gen is not None:
-        ordering = []
-        x = group.identity
-        for _ in range(m):
-            ordering.append(x)
-            x = group.table[x][gen]
-        ordering = tuple(ordering)
-        ok, collision = verify_harmonious(group, ordering, members)
-        if not ok:
-            raise StructureViolation(f"closed-form ordering failed: {collision}")
-        return ordering
 
-    table = group.table
-    member_set = set(members)
-    seq = [group.identity]
-    used = {group.identity}
-    prods: set[int] = set()
-
-    def dfs() -> bool:
-        if len(seq) == m:
-            wrap = table[seq[-1]][seq[0]]
-            return wrap not in prods
-        last = seq[-1]
-        for cand in members:
-            if cand in used:
-                continue
-            p = table[last][cand]
-            if p in prods:
-                continue
-            seq.append(cand)
-            used.add(cand)
-            prods.add(p)
-            if dfs():
-                return True
-            seq.pop()
-            used.remove(cand)
-            prods.remove(p)
-        return False
-
-    if group.identity not in member_set:
-        raise InvalidInput("subgroup does not contain the identity")
-    if not dfs():
-        raise SearchExhausted(
-            f"no harmonious ordering found for an odd-order subgroup of size {m}; "
-            "this contradicts a guarantee and indicates a bug"
-        )
-    return tuple(seq)
+def _lift(group: Group, members: list[int]) -> tuple[int, ...]:
+    """Hall and Paige's lifting lemma for the successor map sigma: take N
+    normal in H with H/N cyclic of order q, generated by xN. N = {e} if H is
+    cyclic (x its smallest-index generator), else a maximal subgroup over
+    the derived subgroup, normal of prime index. With psi_0 the successor
+    map of N's own ordering, psi_j = id for j >= 1 and y_j = x^(j+1) for
+    j < q - 1, ``sigma(h x^j) = x^-j psi_j(h) x^j y_j`` is a complete
+    mapping: ``g sigma(g) = h psi_j(h) x^j y_j``. y_(q-1) is tried over
+    x^q N = N in index order until sigma is one m-cycle; y = e does it when
+    N is abelian, and with N = {e} sigma(x^j) is x^(j+1).
+    """
+    table, inv, e, m = group.table, group.inverses, group.identity, len(members)
+    x = next((g for g in members if _cached_orders(group)[g] == m), None)
+    normal, psi = [e], {e: e}
+    if x is None:
+        grown = commutator_subgroup(group, members)
+        spanning: set[int] = set()  # g with <N, g> = H, by whole cosets gN
+        for g in members:
+            if g not in grown and g not in spanning:
+                closure = subgroup_closure(group, grown | {g})
+                if len(closure) < m:
+                    grown = closure
+                else:
+                    spanning.update(table[g][h] for h in grown)
+        x = next(g for g in members if g not in grown)
+        normal = sorted(grown)
+        sub = _lift(group, normal)
+        psi = dict(zip(sub, sub[1:] + sub[:1]))
+    q = m // len(normal)
+    powers = list(accumulate(range(q), lambda xj, _: table[xj][x], initial=e))
+    for y in normal:
+        sigma = {}
+        for j, xj in enumerate(powers[:q]):
+            yj = powers[j + 1] if j < q - 1 else y
+            for h in normal:
+                image = psi[h] if j == 0 else table[table[inv[xj]][h]][xj]
+                sigma[table[h][xj]] = table[image][yj]
+        ordering = [e]
+        while len(ordering) < m and sigma[ordering[-1]] != e:
+            ordering.append(sigma[ordering[-1]])
+        if len(ordering) == m:
+            return tuple(ordering)
+    raise SearchExhausted(f"no choice of the last y makes sigma one {m}-cycle")
 
 
 def verify_harmonious(group: Group, ordering: Sequence[int],
                       subgroup: Iterable[int] | None = None
                       ) -> tuple[bool, Collision | None]:
-    """Check that the successor products are pairwise distinct.
-
-    Returns ``(True, None)`` or ``(False, first_collision)`` where the
-    collision names the two positions whose products coincide.
-    """
+    """``(True, None)`` if the successor products are pairwise distinct, else
+    ``(False, first_collision)``. ``subgroup``, the whole group by default,
+    must be a subgroup (:class:`InvalidInput` otherwise)."""
     order = tuple(int(x) for x in ordering)
-    if subgroup is None:
-        members = set(order) if len(order) != group.n else set(group.elements())
-    else:
-        members = {int(x) for x in subgroup}
-    if sorted(order) != sorted(members) or len(set(order)) != len(order):
+    return _check_successors(group, order, _resolve_members(group, subgroup))
+
+
+def _check_successors(group: Group, order: tuple[int, ...], members: list[int]
+                      ) -> tuple[bool, Collision | None]:
+    if sorted(order) != members:
         raise NotPermutation("ordering is not a permutation of the subgroup")
-    m = len(order)
     table = group.table
     seen: dict[int, int] = {}
-    for i in range(m):
-        p = table[order[i]][order[(i + 1) % m]]
+    for i, (a, b) in enumerate(zip(order, order[1:] + order[:1])):
+        p = table[a][b]
         if p in seen:
             return False, Collision("successor", seen[p], i, p)
         seen[p] = i

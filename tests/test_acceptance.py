@@ -12,8 +12,10 @@ import time
 from pathlib import Path
 
 import ntk
+import ntk.cli
 from ntk.catalog import _s3_times_cyclic, builtin_catalog
 from ntk.groups import CYCLIC_NONTRIVIAL, NON_CYCLIC, TRIVIAL
+from ntk.groupspec import parse_group_spec
 from ntk.render import render_model
 
 DATA = Path(__file__).parent / "data"
@@ -162,6 +164,26 @@ def test_criterion_5_harmonious_suite_to_order_27():
                 ok, collision = ntk.verify_harmonious(group, closed)
                 assert ok, (entry.label, collision)
         assert {"Z7:Z3", "He3", "Z3xZ3", "Z3xZ5", "Z27"} <= labels
+
+
+def test_non_cyclic_fixed_parts_through_sd(tmp_path):
+    # Z2 x (Z_p : Z3) as Z6 acting on Z_p by x -> a^i x with a of order 3
+    # mod p, and Z2 x (Z7 : Z9) as Z18 on Z7; the fixed part is the odd factor.
+    cases = [(6, 7, 2), (6, 13, 3), (6, 31, 5), (6, 127, 19), (18, 7, 2)]
+    with _Budget("non-cyclic fixed parts through sd:", 2.0):
+        for k, p, a in cases:
+            action = tmp_path / f"z{k}_on_z{p}.txt"
+            action.write_text("".join(
+                " ".join(str(pow(a, i, p) * x % p) for x in range(p)) + "\n"
+                for i in range(k)))
+            spec = f"sd:Z{k},Z{p},{action}"
+            group, _ = parse_group_spec(spec)
+            dec = ntk.decompose(group)
+            assert dec.fixed_order == k * p // 2, spec
+            assert all(ntk.element_order(group, h) < dec.fixed_order
+                       for h in dec.fixed_part), spec  # not cyclic
+            for command in ("construct", "verify"):
+                assert ntk.cli.main([command, spec, "--format", "json"]) == 0, (command, spec)
 
 
 def test_criterion_6_independent_set_optimality():

@@ -215,6 +215,15 @@ def test_catalog_small(capsys):
     assert "failed=0" in out
 
 
+def test_catalog_beyond_max_order_rejected_before_any_group(capsys, monkeypatch):
+    def refuse(max_order):
+        raise AssertionError(f"catalog built to order {max_order}")
+    monkeypatch.setattr("ntk.cli.builtin_catalog", refuse)
+    code, out, err = run(capsys, "catalog", "--max-order", "2049")
+    assert code == 1 and not out and _one_error_line(err)
+    assert "2049 beyond the supported 2048" in err
+
+
 def test_catalog_odd_filter_uses_mapping_branch(capsys):
     code, out, _ = run(capsys, "catalog", "--max-order", "9", "--filter", "odd")
     assert code == 0

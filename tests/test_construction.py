@@ -53,7 +53,7 @@ def test_decompose_not_applicable():
 
 # Large groups of every witness shape: ladder only, prisms only, both, a
 # generator of order 4, and a non-cyclic fixed part (Z3 x Z3), whose
-# ordering comes from backtracking.
+# ordering is lifted over a cyclic quotient of order 3.
 DECOMPOSITION_SPECS = ("Z2046", "D511", "S3 x Z85", "Dic127", "Z2 x Z255",
                        "Z2 x Z3 x Z3")
 

@@ -369,6 +369,13 @@ def test_square_text_round_trip(tmp_path):
     assert ntk.load_square(path).cells == square.cells
 
 
+def test_square_text_with_a_non_integer_is_named():
+    with pytest.raises(NotLatin, match="row 1 has a non-integer entry"):
+        ntk.latin.square_from_text("2\n0 1\n1 y\n")
+    with pytest.raises(NotLatin, match="first line must be the order"):
+        ntk.latin.square_from_text("two\n0 1\n1 0\n")
+
+
 def test_cells_json_round_trip():
     group = ntk.cyclic(6)
     square = ntk.cayley_square(group)

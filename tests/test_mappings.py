@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 import ntk
 from ntk.catalog import builtin_catalog
-from ntk.errors import NotPermutation, OddOrderRequired, OrderTooLarge
+from ntk.errors import InvalidInput, NotPermutation, OddOrderRequired, OrderTooLarge
 from ntk.groups import CYCLIC_NONTRIVIAL
 from ntk.latin import _search
 
@@ -140,22 +140,25 @@ def test_subgroup_ordering_inside_ambient_group():
     assert ok
 
 
-def test_backtracking_handles_non_cyclic_subgroups():
-    group = ntk.direct_product(ntk.cyclic(3, "c"), ntk.cyclic(3, "d"))
-    ordering = ntk.harmonious_ordering(group)
-    assert ordering[0] == group.identity
-    ok, _ = ntk.verify_harmonious(group, ordering)
-    assert ok
+def test_lift_handles_non_cyclic_subgroups():
+    for orders in ((3, 3), (3, 3, 3), (9, 3), (5, 5), (3, 3, 9)):
+        group = ntk.cyclic(orders[0])
+        for q in orders[1:]:
+            group = ntk.direct_product(group, ntk.cyclic(q))
+        ordering = ntk.harmonious_ordering(group)
+        assert ordering[0] == group.identity
+        ok, collision = ntk.verify_harmonious(group, ordering)
+        assert ok, (orders, collision)
 
 
-def test_closed_form_and_backtracking_both_verify_on_cyclic():
-    for n in (1, 3, 5, 7, 9, 15):
-        group = ntk.cyclic(n)
-        closed = ntk.harmonious_ordering(group)
-        searched = ntk.harmonious_ordering(group, closed_form=False)
-        for ordering in (closed, searched):
-            ok, collision = ntk.verify_harmonious(group, ordering)
-            assert ok, (n, ordering, collision)
+def test_verify_refuses_a_non_subgroup():
+    z7 = ntk.cyclic(7)
+    with pytest.raises(NotPermutation):  # no subgroup given: the whole group
+        ntk.verify_harmonious(z7, (0, 1, 2))
+    with pytest.raises(InvalidInput):
+        ntk.verify_harmonious(z7, (0, 1, 2), {0, 1, 2})
+    with pytest.raises(InvalidInput):
+        ntk.harmonious_ordering(z7, {0, 1, 2})
 
 
 def test_odd_catalog_orderings_verify():
