@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidOrdering, NotApplicable, StructureViolation
+from .errors import InvalidOrdering, NotApplicable, NotPermutation, StructureViolation
 from .groups import (
     CYCLIC_NONTRIVIAL,
     Group,
@@ -42,7 +42,7 @@ from .groups import (
     sylow2,
 )
 from .latin import Cell, cayley_square, is_partial_transversal
-from .mappings import find_complete_mapping, harmonious_ordering, verify_harmonious
+from .mappings import _check_successors, _lift, find_complete_mapping
 
 BRANCH_CONSTRUCTION = "construction"
 BRANCH_COMPLETE_MAPPING = "complete-mapping"
@@ -146,7 +146,7 @@ def decompose(group: Group, *, report: SylowReport | None = None) -> Decompositi
     l = group.n // k
     b = report.generator
     assert b is not None
-    table = group.table
+    mul = group.mul
 
     orders = _cached_orders(group)
     odd_part = frozenset(g for g in group.elements() if orders[g] % 2 == 1)
@@ -161,7 +161,7 @@ def decompose(group: Group, *, report: SylowReport | None = None) -> Decompositi
     x = group.identity
     for _ in range(k):
         gen_powers.append(x)
-        x = table[x][b]
+        x = mul(x, b)
     a = gen_powers[k // 2]
     twist = conjugation(group, a)
     fixed_part = frozenset(h for h in odd_part if twist[h] == h)
@@ -188,42 +188,41 @@ def build_witness(dec: Decomposition,
                   ordering: Sequence[int] | None = None) -> Witness:
     """Materialize the ladder and prism families from a harmonious ordering.
 
-    ``ordering`` defaults to the deterministic harmonious ordering of the
-    fixed part; a supplied override is re-verified and rejected with
-    :class:`InvalidOrdering` if it is not harmonious. The ``2n`` cells are
-    pairwise distinct without a check: a row ``b^i h`` factors uniquely, and
-    with ``gcd(k, m) = 1`` the ladder rows ``b^i h_i`` run over ``km``
-    distinct pairs ``(i mod k, i mod m)``.
+    ``ordering`` defaults to the harmonious ordering lifted over the fixed
+    part, which ``decompose`` built as a subgroup, so it is not re-tested.
+    Either ordering passes the successor check; an override that fails it
+    raises :class:`InvalidOrdering`. The ``2n`` cells are pairwise distinct
+    without a check: a row ``b^i h`` factors uniquely, and with
+    ``gcd(k, m) = 1`` the ladder rows ``b^i h_i`` run over ``km`` distinct
+    pairs ``(i mod k, i mod m)``.
     """
     group = dec.group
-    if ordering is None:
-        ordering = harmonious_ordering(group, dec.fixed_part)
-    else:
-        ordering = tuple(int(x) for x in ordering)
-        try:
-            ok, collision = verify_harmonious(group, ordering, dec.fixed_part)
-        except Exception as exc:
-            raise InvalidOrdering(str(exc)) from exc
-        if not ok:
-            raise InvalidOrdering(f"ordering is not harmonious: {collision}")
+    members = sorted(dec.fixed_part)
+    given = ordering is not None
+    ordering = tuple(int(x) for x in ordering) if given else _lift(group, members)
+    try:
+        ok, collision = _check_successors(group, ordering, members)
+    except NotPermutation as exc:
+        raise InvalidOrdering(str(exc)) from exc
+    if not ok:
+        failure = InvalidOrdering if given else StructureViolation
+        raise failure(f"ordering is not harmonious: {collision}")
 
     k, m = dec.sylow_order, dec.fixed_order
     km = k * m
-    table = group.table
+    mul = group.mul
     powers = dec.gen_powers
 
-    ladder_rows = [table[powers[i % k]][ordering[i % m]] for i in range(km)]
+    ladder_rows = [mul(powers[i % k], ordering[i % m]) for i in range(km)]
     ladder = tuple(
-        (row, table[ordering[(i + s) % m]][powers[(i + s) % k]])
+        (row, mul(ordering[(i + s) % m], powers[(i + s) % k]))
         for s in (0, 1) for i, row in enumerate(ladder_rows)
     )
     moved = [f for pair in dec.orbit_pairs for f in pair]
     prisms = tuple(
-        (table[powers[i]][f], table[f][powers[(i + s) % k]])
+        (mul(powers[i], f), mul(f, powers[(i + s) % k]))
         for s in (0, 1) for f in moved for i in range(k)
     )
-
-
     return Witness(dec, ordering, ladder, prisms)
 
 
@@ -323,15 +322,15 @@ def display_orders(witness: Witness) -> tuple[tuple[int, ...], tuple[int, ...]]:
     on the main diagonal.
     """
     dec = witness.dec
-    table = dec.group.table
+    mul = dec.group.mul
     powers = dec.gen_powers
     moved = [x for pair in dec.orbit_pairs for x in pair]
     km = dec.sylow_order * dec.fixed_order
     rows = [cell[0] for cell in witness.ladder_cells[:km]]
     cols = [cell[1] for cell in witness.ladder_cells[:km]]
     for p in powers:
-        rows.extend(table[p][f] for f in moved)
-        cols.extend(table[f][p] for f in moved)
+        rows.extend(mul(p, f) for f in moved)
+        cols.extend(mul(f, p) for f in moved)
     return tuple(rows), tuple(cols)
 
 
@@ -342,9 +341,7 @@ def result_json(result: ConstructionResult, label: str | None = None) -> dict:
     returning cells it could not check.
     """
     group = result.group
-    cells = sorted(
-        [r, c, group.table[r][c]] for r, c in result.cells
-    )
+    cells = sorted([r, c, group.mul(r, c)] for r, c in result.cells)
     return {
         "group": label if label is not None else group.label,
         "n": group.n,

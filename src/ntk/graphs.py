@@ -64,12 +64,13 @@ def induced_subgraph(square: LatinSquare, cells: Sequence[Cell]) -> LabeledGraph
         dup = next(v for v in verts if verts.count(v) > 1)
         raise DuplicateCell(f"cell {dup} appears more than once")
     index = {v: i for i, v in enumerate(verts)}
+    symbol = square.symbol
     buckets: dict[str, dict[int, list[int]]] = {lab: {} for lab in LABELS}
     for v, i in index.items():
         r, c = v
         buckets[ROW].setdefault(r, []).append(i)
         buckets[COLUMN].setdefault(c, []).append(i)
-        buckets[SYMBOL].setdefault(square.cells[r][c], []).append(i)
+        buckets[SYMBOL].setdefault(symbol(r, c), []).append(i)
     edges = []
     for lab in LABELS:
         for group in buckets[lab].values():

@@ -1,4 +1,4 @@
-"""Finite groups as explicit multiplication tables.
+"""Finite groups, each given by its product.
 
 Elements are dense indices ``0..n-1``. The identity is located by scan, so
 file-loaded tables may place it anywhere; the word constructors put it at
@@ -7,21 +7,27 @@ factors' identities. All types are immutable after construction and every
 operation here is a pure function, so values can be shared freely across
 threads.
 
-Tables that come in are checked; tables built here are not.
+Each group computes its product with ``Group.mul``: a constructor by
+formula in Python ints (words in Z_n, D_n and Dic_n; pairs taken apart by
+``divmod`` for direct and twisted products), and a group that holds a
+table, from :func:`group_from_table` or :func:`symmetric`, by reading it.
+``Group.table`` is built by numpy on first read and cached, its n^2
+entries sharing n int objects; the construction and its checks read O(n)
+products and never build it.
+
+Tables that come in are checked; products computed here are not.
 :func:`group_from_table` checks the latin property, a two-sided identity
 and associativity, by Light's test over a generating set (exact, O(n^2)
-per generator). The constructors build groups by their formulas: words in
-Z_n, D_n, Dic_n and S_n, pairs for a direct product, and a twisted product
-whose action :func:`semidirect` checks to be a homomorphism into Aut(H),
-which is exactly what makes it a group. The test suite passes their tables
-back through :func:`group_from_table`. Names are checked on every route.
-Tables are built and checked as numpy arrays, but a group holds its table
-as tuples whose n^2 entries share n int objects.
+per generator), and :func:`semidirect` checks its action to be a
+homomorphism into Aut(H), which is exactly what makes the product a group.
+The test suite checks every constructor's product against its table and
+passes the tables back through :func:`group_from_table`. Names are checked
+on every route.
 
 Structural facts are computed once and checked over generators: element
-orders are cached on the group on first use, and subgroup tests and
-closures grow a set by right products with a generating set, which is
-exact in a finite group and costs O(|S|) per generator.
+orders and inverses are cached on the group on first use, and subgroup
+tests and closures grow a set by right products with a generating set,
+which is exact in a finite group and costs O(|S|) per generator.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -46,30 +52,51 @@ CYCLIC_NONTRIVIAL = "cyclic-nontrivial"
 NON_CYCLIC = "non-cyclic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Group:
-    """A finite group given by its full multiplication table.
+    """A finite group given by its product.
 
-    ``table[g][h]`` is the index of the product ``g*h``. ``names`` holds one
-    whitespace-free display string per element; ``label`` is a cosmetic tag
-    (e.g. the CLI group string that produced the group) and never
-    participates in comparisons. ``inverses[g]`` is the inverse of ``g``.
+    ``mul(g, h)`` is the index of the product ``g*h``; ``table[g][h]`` is the
+    same product, read from the full table, which is built on first read.
+    ``names`` holds one whitespace-free display string per element; ``label``
+    is a cosmetic tag (e.g. the CLI group string that produced the group)
+    and never participates in comparisons, which read the order, identity,
+    names and table. ``inverses[g]`` is the inverse of ``g``.
     """
 
     n: int
-    table: tuple[tuple[int, ...], ...]
     identity: int
     names: tuple[str, ...]
-    inverses: tuple[int, ...] = field(compare=False)
-    label: str = field(default="", compare=False)
-    _index_of: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _orders: list = field(default_factory=list, init=False, repr=False, compare=False)
+    mul: Callable[[int, int], int] = field(repr=False)
+    # Makes the table on the first read of ``table``.
+    _build: Callable[[], tuple[tuple[int, ...], ...]] = field(repr=False)
+    label: str = ""
+    _index_of: dict = field(default_factory=dict, init=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self._index_of.update({name: i for i, name in enumerate(self.names)})
 
-    def mul(self, g: int, h: int) -> int:
-        return self.table[g][h]
+    def __eq__(self, other):
+        if not isinstance(other, Group):
+            return NotImplemented
+        return ((self.n, self.identity, self.names) == (other.n, other.identity, other.names)
+                and self.table == other.table)
+
+    def __hash__(self):
+        return hash((self.n, self.table, self.identity, self.names))
+
+    @property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        table = self._cache.get("table")
+        if table is None:
+            table = self._build()
+            self._cache["table"] = table  # one assignment: never seen half built
+        return table
+
+    @property
+    def inverses(self) -> tuple[int, ...]:
+        return _cyclic_walk(self)[1]
 
     def inv(self, g: int) -> int:
         return self.inverses[g]
@@ -78,14 +105,14 @@ class Group:
         if e < 0:
             g, e = self.inverses[g], -e
         acc = self.identity
-        row_mul = self.table
+        mul = self.mul
         for _ in range(e):
-            acc = row_mul[acc][g]
+            acc = mul(acc, g)
         return acc
 
     def conjugate(self, a: int, h: int) -> int:
         """a * h * a^-1."""
-        return self.table[self.table[a][h]][self.inverses[a]]
+        return self.mul(self.mul(a, h), self.inverses[a])
 
     def elements(self) -> range:
         return range(self.n)
@@ -112,7 +139,7 @@ class SylowReport:
     generator: int | None = None
 
 
-def _generate(table: np.ndarray | Sequence[Sequence[int]], identity: int,
+def _generate(mul: Callable[[int, int], int], identity: int,
               candidates: Iterable[int], within: set[int] | None = None
               ) -> tuple[list[int], set[int]] | None:
     """Greedy generators taken from ``candidates``, and the subgroup they generate.
@@ -129,7 +156,7 @@ def _generate(table: np.ndarray | Sequence[Sequence[int]], identity: int,
         if a in reached:
             continue
         gens.append(a)
-        stack = [table[x][a] for x in reached]
+        stack = [mul(x, a) for x in reached]
         while stack:
             y = stack.pop()
             if y in reached:
@@ -137,8 +164,7 @@ def _generate(table: np.ndarray | Sequence[Sequence[int]], identity: int,
             if within is not None and y not in within:
                 return None
             reached.add(y)
-            row = table[y]
-            stack.extend([row[b] for b in gens])
+            stack.extend([mul(y, b) for b in gens])
     return gens, reached
 
 
@@ -151,7 +177,7 @@ def _check_associative(arr: np.ndarray, identity: int) -> None:
     the check is therefore exact.
     """
     n = len(arr)
-    gens, _ = _generate(arr, identity, range(n))
+    gens, _ = _generate(lambda x, y: arr[x, y], identity, range(n))
     for a in gens:
         right, left = arr[:, a], arr[a]
         for lo in range(0, n, _ASSOC_BLOCK_ROWS):
@@ -217,24 +243,30 @@ def group_from_table(raw: np.ndarray | Sequence[Sequence[int]],
     # A latin square with an identity that is associative is a group, so
     # every element has a two-sided inverse and nothing more is checked.
     _check_associative(arr, identity)
-    return _group(arr, identity, names, label)
+    table = _shared_rows(arr)
+    return _group(n, identity, names, label, lambda g, h: table[g][h], lambda: table)
 
 
-def _group(arr: np.ndarray, identity: int, names: Sequence[str] | None,
-           label: str) -> Group:
-    """Wrap a group table, whose identity the caller knows, as a :class:`Group`.
+def _shared_rows(arr: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The rows of an n x n table as tuples of Python ints.
 
-    The table itself is not checked: it comes from :func:`group_from_table`
-    after its checks, or from a constructor whose formula is a group. The
-    caller's ``names`` are checked, as they come from outside.
+    Every entry is looked up in ``pool``, so the n^2 entries share its n int
+    objects instead of holding one each.
     """
-    n = len(arr)
-    # Row by row, every entry is looked up in ``pool``, so the n^2 entries of
-    # the table share its n int objects instead of holding one each.
-    pool = np.arange(n).astype(object)
-    table = tuple(tuple(pool[row].tolist()) for row in arr)
-    inv = (arr == identity).argmax(axis=1)
+    pool = np.arange(len(arr)).astype(object)
+    return tuple(tuple(pool[row].tolist()) for row in arr)
 
+
+def _group(n: int, identity: int, names: Sequence[str] | None, label: str,
+           mul: Callable[[int, int], int],
+           build: Callable[[], tuple[tuple[int, ...], ...]]) -> Group:
+    """Wrap a product, whose identity the caller knows, as a :class:`Group`.
+
+    Neither ``mul`` nor the table that ``build`` makes on its first read is
+    checked: they come from :func:`group_from_table` after its checks, or
+    from a constructor whose formula is a group. The caller's ``names`` are
+    checked, as they come from outside.
+    """
     if names is None:
         names = tuple(str(i) for i in range(n))
     else:
@@ -246,15 +278,7 @@ def _group(arr: np.ndarray, identity: int, names: Sequence[str] | None,
             raise NotLatin(f"names: element name {dup!r} repeats")
         if any(any(ch.isspace() for ch in name) for name in names):
             raise NotLatin("names: element names must be whitespace-free")
-
-    return Group(
-        n=n,
-        table=table,
-        identity=identity,
-        names=names,
-        inverses=tuple(inv.tolist()),
-        label=label,
-    )
+    return Group(n=n, identity=identity, names=names, mul=mul, label=label, _build=build)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +334,9 @@ def cyclic(n: int, gen: str = "c") -> Group:
     if n < 1:
         raise ValueError("order must be positive")
     r = np.arange(n)
-    table = (r[:, None] + r[None, :]) % n
     names = [_pow_word(gen, i) for i in range(n)]
-    return _group(table, 0, names, f"Z{n}")
+    return _group(n, 0, names, f"Z{n}", lambda g, h: (g + h) % n,
+                  lambda: _shared_rows((r[:, None] + r[None, :]) % n))
 
 
 def _word_exponents(size: int) -> tuple[np.ndarray, ...]:
@@ -332,10 +356,16 @@ def dihedral(n: int, gens: tuple[str, str] = ("r", "s")) -> Group:
         raise ValueError("order parameter must be positive")
     rg, sg = gens
     j1, i1, j2, i2 = _word_exponents(n)
-    table = (j1 ^ j2) * n + (np.where(j2 == 0, i1, -i1) + i2) % n
+
+    def mul(g, h):
+        j, i = divmod(g, n)
+        jh, ih = divmod(h, n)
+        return (j ^ jh) * n + (ih - i if jh else i + ih) % n
+
     names = [_concat_words((_pow_word(sg, j), _pow_word(rg, i)))
              for j in range(2) for i in range(n)]
-    return _group(table, 0, names, f"D{n}")
+    return _group(2 * n, 0, names, f"D{n}", mul, lambda: _shared_rows(
+        (j1 ^ j2) * n + (np.where(j2 == 0, i1, -i1) + i2) % n))
 
 
 def dicyclic(n: int, gens: tuple[str, str] = ("a", "x")) -> Group:
@@ -348,17 +378,23 @@ def dicyclic(n: int, gens: tuple[str, str] = ("a", "x")) -> Group:
     ag, xg = gens
     two_n = 2 * n
     j1, i1, j2, i2 = _word_exponents(two_n)
-    table = (j1 ^ j2) * two_n + (i1 + np.where(j1 == 0, i2, -i2) + n * (j1 & j2)) % two_n
+
+    def mul(g, h):
+        j, i = divmod(g, two_n)
+        jh, ih = divmod(h, two_n)
+        return (j ^ jh) * two_n + (i - ih + n * jh if j else i + ih) % two_n
+
     names = [_concat_words((_pow_word(ag, i), xg if j else "1"))
              for j in range(2) for i in range(two_n)]
-    return _group(table, 0, names, f"Dic{n}")
+    return _group(4 * n, 0, names, f"Dic{n}", mul, lambda: _shared_rows(
+        (j1 ^ j2) * two_n + (i1 + np.where(j1 == 0, i2, -i2) + n * (j1 & j2)) % two_n))
 
 
 def symmetric(n: int) -> Group:
     """Symmetric group on ``n`` points, permutations in lexicographic order.
 
     Composition convention: (p*q)(i) = p(q(i)). Names use 1-based cycle
-    notation, ``"1"`` for the identity.
+    notation, ``"1"`` for the identity. The group holds its table.
     """
     if n < 1:
         raise ValueError("degree must be positive")
@@ -368,20 +404,29 @@ def symmetric(n: int) -> Group:
     # product's index is the position of its code among them.
     weights = n ** np.arange(n - 1, -1, -1)
     codes = arr @ weights
-    table = np.stack([np.searchsorted(codes, p[arr] @ weights) for p in arr])
+    table = _shared_rows(np.stack([np.searchsorted(codes, p[arr] @ weights) for p in arr]))
     names = [_cycle_notation(p) for p in perms]
-    return _group(table, 0, names, f"S{n}")
+    return _group(len(perms), 0, names, f"S{n}", lambda g, h: table[g][h], lambda: table)
 
 
 def direct_product(a: Group, b: Group, label: str = "") -> Group:
     """Direct product; element ``i*|b| + j`` is the pair (a_i, b_j)."""
     n, nb = a.n * b.n, b.n
-    # axes: (a1, b1, a2, b2) for the product of (a1, b1) by (a2, b2)
-    table = np.array(a.table)[:, None, :, None] * nb + np.array(b.table)[None, :, None, :]
+    mul_a, mul_b = a.mul, b.mul
+
+    def mul(g, h):
+        ga, gb = divmod(g, nb)
+        ha, hb = divmod(h, nb)
+        return mul_a(ga, ha) * nb + mul_b(gb, hb)
+
+    def table():  # axes: (a1, b1, a2, b2) for the product of (a1, b1) by (a2, b2)
+        t = np.array(a.table)[:, None, :, None] * nb + np.array(b.table)[None, :, None, :]
+        return _shared_rows(t.reshape(n, n))
+
     names = _product_names(a.names, b.names)
     if not label and a.label and b.label:
         label = f"{a.label} x {b.label}"
-    return _group(table.reshape(n, n), a.identity * nb + b.identity, names, label)
+    return _group(n, a.identity * nb + b.identity, names, label, mul, table)
 
 
 def semidirect(k_part: Group, h_part: Group,
@@ -421,12 +466,22 @@ def semidirect(k_part: Group, h_part: Group,
             raise InvalidAction(f"action is not a homomorphism at K elements ({k1},{k2})")
 
     n = nk * nh
-    # twisted[k2, h1] = action[inv(k2)](h1); axes: (k1, h1, k2, h2)
-    twisted = acts[list(k_part.inverses)]
-    table = tk[:, None, :, None] * nh + th[twisted.T][None, :, :, :]
+    # twisted[k2][h1] = action[inv(k2)](h1)
+    twisted = acts[list(k_part.inverses)].tolist()
+    mul_k, mul_h = k_part.mul, h_part.mul
+
+    def mul(g, h):
+        k1, h1 = divmod(g, nh)
+        k2, h2 = divmod(h, nh)
+        return mul_k(k1, k2) * nh + mul_h(twisted[k2][h1], h2)
+
+    def table():  # axes: (k1, h1, k2, h2)
+        tk, th = np.array(k_part.table), np.array(h_part.table)
+        t = tk[:, None, :, None] * nh + th[np.array(twisted).T][None, :, :, :]
+        return _shared_rows(t.reshape(n, n))
+
     names = _product_names(k_part.names, h_part.names)
-    return _group(table.reshape(n, n), k_part.identity * nh + h_part.identity,
-                  names, label)
+    return _group(n, k_part.identity * nh + h_part.identity, names, label, mul, table)
 
 
 # ---------------------------------------------------------------------------
@@ -436,25 +491,27 @@ def element_order(group: Group, g: int) -> int:
     """Least t >= 1 with g^t = identity; divides the group order."""
     order = 1
     x = g
-    table = group.table
+    mul = group.mul
     e = group.identity
     while x != e:
-        x = table[x][g]
+        x = mul(x, g)
         order += 1
     return order
 
 
-def _cached_orders(group: Group) -> list[int]:
-    """The order of every element, computed on first use and cached on the
-    group; callers read the list and must not change it.
+def _cyclic_walk(group: Group) -> tuple[list[int], tuple[int, ...]]:
+    """The order and the inverse of every element, computed on first use
+    and cached on the group; callers read them and must not change them.
 
     One walk of each cyclic subgroup <g> not yet covered gives every power
-    g^j its order o // gcd(j, o), where o is the order of g.
+    g^j its order o // gcd(j, o) and its inverse g^(o-j), where o is the
+    order of g.
     """
-    cache = group._orders
-    if not cache:
+    cached = group._cache.get("walk")
+    if cached is None:
         orders = [0] * group.n
-        table, e = group.table, group.identity
+        inverses = [0] * group.n
+        mul, e = group.mul, group.identity
         for g in group.elements():
             if orders[g]:
                 continue
@@ -462,15 +519,21 @@ def _cached_orders(group: Group) -> list[int]:
             x = g
             while x != e:
                 powers.append(x)
-                x = table[x][g]
+                x = mul(x, g)
             o = len(powers)
             for j, x in enumerate(powers):
                 if not orders[x]:
                     orders[x] = o // gcd(j, o)
-        # One slice assignment fills the cache, so a thread never sees it
+                    inverses[x] = powers[-j]
+        # One assignment publishes both lists, so a thread never sees them
         # half written.
-        cache[:] = orders
-    return cache
+        cached = group._cache["walk"] = (orders, tuple(inverses))
+    return cached
+
+
+def _cached_orders(group: Group) -> list[int]:
+    """The order of every element, cached on the group (see _cyclic_walk)."""
+    return _cyclic_walk(group)[0]
 
 
 def element_orders(group: Group) -> list[int]:
@@ -492,7 +555,7 @@ def order_signature(group: Group) -> tuple[tuple[int, int], ...]:
 
 def subgroup_closure(group: Group, seed: Iterable[int]) -> frozenset[int]:
     """Smallest subgroup containing ``seed``."""
-    _, members = _generate(group.table, group.identity, seed)
+    _, members = _generate(group.mul, group.identity, seed)
     return frozenset(members)
 
 
@@ -504,27 +567,23 @@ def is_subgroup(group: Group, members: Iterable[int]) -> bool:
     """
     s = set(members)
     return (group.identity in s
-            and _generate(group.table, group.identity, s, within=s) is not None)
+            and _generate(group.mul, group.identity, s, within=s) is not None)
 
 
 def conjugation(group: Group, a: int) -> tuple[int, ...]:
     """The permutation h -> a h a^-1 (equal to h -> a h a when a*a = 1)."""
-    return tuple(group.conjugate(a, h) for h in group.elements())
+    mul, a_inv = group.mul, group.inverses[a]
+    return tuple(mul(mul(a, h), a_inv) for h in group.elements())
 
 
 def commutator_subgroup(group: Group, members: Iterable[int] | None = None) -> frozenset[int]:
     """The derived subgroup of the group, or of the subgroup ``members``,
     generated by the [a, s] with s in a generating set, since
     ``[a, bs] = [a, b] [ba, s] [b, s]^-1``."""
-    table = group.table
-    inv = group.inverses
+    mul, inv = group.mul, group.inverses
     members = group.elements() if members is None else list(members)
-    gens, _ = _generate(table, group.identity, members)
-    comms = {
-        table[table[a][b]][table[inv[a]][inv[b]]]
-        for a in members
-        for b in gens
-    }
+    gens, _ = _generate(mul, group.identity, members)
+    comms = {mul(mul(a, b), mul(inv[a], inv[b])) for a in members for b in gens}
     return subgroup_closure(group, comms)
 
 

@@ -23,11 +23,11 @@ isotope of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import and_, or_
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidInput, NotLatin, NotPermutation
 from .guards import ensure_within
@@ -38,13 +38,25 @@ Cell = tuple[int, int]
 ROLES = ("row", "column", "symbol")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatinSquare:
+    """A latin square of order ``n`` with row, column and symbol labels.
+
+    ``symbol(r, c)`` is the symbol in cell (r, c) and ``cells`` holds the
+    rows. A Cayley square answers ``symbol`` with its group's product and
+    reads ``cells`` from the group's table, which is built only then.
+    """
+
     n: int
-    cells: tuple[tuple[int, ...], ...]
+    symbol: Callable[[int, int], int] = field(repr=False)
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     sym_labels: tuple[str, ...]
+    _rows: Callable[[], Sequence[Sequence[int]]] = field(repr=False)
+
+    @property
+    def cells(self) -> Sequence[Sequence[int]]:
+        return self._rows()
 
 
 @dataclass(frozen=True)
@@ -86,13 +98,18 @@ def latin_square(cells: Sequence[Sequence[int]],
             raise ValueError(f"expected {n} labels, got {len(out)}")
         return out
 
-    return LatinSquare(n, tuple(rows), _labels(row_labels),
-                       _labels(col_labels), _labels(sym_labels))
+    return _square(tuple(rows), _labels(row_labels), _labels(col_labels), _labels(sym_labels))
+
+
+def _square(rows: tuple[tuple[int, ...], ...], *labels: tuple[str, ...]) -> LatinSquare:
+    """A square that holds its rows, with row, column and symbol labels."""
+    return LatinSquare(len(rows), lambda r, c: rows[r][c], *labels, lambda: rows)
 
 
 def cayley_square(group: Group) -> LatinSquare:
     """The multiplication table of ``group`` viewed as a latin square."""
-    return LatinSquare(group.n, group.table, group.names, group.names, group.names)
+    names = group.names
+    return LatinSquare(group.n, group.mul, names, names, names, lambda: group.table)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +123,7 @@ def is_partial_transversal(square: LatinSquare,
     which of the three classes they share.
     """
     n = square.n
+    symbol = square.symbol
     seen_rows: dict[int, Cell] = {}
     seen_cols: dict[int, Cell] = {}
     seen_syms: dict[int, Cell] = {}
@@ -117,7 +135,7 @@ def is_partial_transversal(square: LatinSquare,
             return False, Violation("row", seen_rows[r], cell)
         if c in seen_cols:
             return False, Violation("column", seen_cols[c], cell)
-        s = square.cells[r][c]
+        s = symbol(r, c)
         if s in seen_syms:
             return False, Violation("symbol", seen_syms[s], cell)
         seen_rows[r] = seen_cols[c] = seen_syms[s] = cell
@@ -126,7 +144,8 @@ def is_partial_transversal(square: LatinSquare,
 
 def triples(square: LatinSquare, cells: Iterable[Cell]) -> list[tuple[int, int, int]]:
     """Row-sorted (row, column, symbol) triples of a cell collection."""
-    return sorted((r, c, square.cells[r][c]) for r, c in cells)
+    symbol = square.symbol
+    return sorted((r, c, symbol(r, c)) for r, c in cells)
 
 
 def cells_to_json(square: LatinSquare, cells: Iterable[Cell]) -> list[list[int]]:
@@ -138,7 +157,7 @@ def cells_from_json(data: Iterable[Sequence[int]],
     out = []
     for item in data:
         r, c = int(item[0]), int(item[1])
-        if square is not None and len(item) > 2 and square.cells[r][c] != int(item[2]):
+        if square is not None and len(item) > 2 and square.symbol(r, c) != int(item[2]):
             raise InvalidInput(
                 f"stored symbol {item[2]} disagrees with square at ({r},{c})"
             )
@@ -299,11 +318,12 @@ def is_extendable(square: LatinSquare, cells: Sequence[Cell]) -> bool:
     n = square.n
     used_rows = {r for r, _ in cells}
     used_cols = {c for _, c in cells}
-    used_syms = {square.cells[r][c] for r, c in cells}
+    used_syms = {square.symbol(r, c) for r, c in cells}
+    rows = square.cells
     for r in range(n):
         if r in used_rows:
             continue
-        row = square.cells[r]
+        row = rows[r]
         for c in range(n):
             if c not in used_cols and row[c] not in used_syms:
                 return True
@@ -329,6 +349,7 @@ def apply_isotopy(square: LatinSquare,
     rp = _check_perm(row_perm, n, "row permutation")
     cp = _check_perm(col_perm, n, "column permutation")
     sp = _check_perm(sym_perm, n, "symbol permutation")
+    rows = square.cells
     cells = [[0] * n for _ in range(n)]
     row_labels = [""] * n
     col_labels = [""] * n
@@ -338,9 +359,9 @@ def apply_isotopy(square: LatinSquare,
         col_labels[cp[r]] = square.col_labels[r]
         sym_labels[sp[r]] = square.sym_labels[r]
         for c in range(n):
-            cells[rp[r]][cp[c]] = sp[square.cells[r][c]]
-    return LatinSquare(n, tuple(tuple(row) for row in cells),
-                       tuple(row_labels), tuple(col_labels), tuple(sym_labels))
+            cells[rp[r]][cp[c]] = sp[rows[r][c]]
+    return _square(tuple(tuple(row) for row in cells),
+                   tuple(row_labels), tuple(col_labels), tuple(sym_labels))
 
 
 def map_cells(cells: Iterable[Cell],
@@ -363,10 +384,11 @@ def conjugate_square(square: LatinSquare,
         raise InvalidInput(f"role permutation must rearrange {ROLES}, got {order}")
     src = tuple(ROLES.index(role) for role in order)
     n = square.n
+    rows = square.cells
     cells = [[-1] * n for _ in range(n)]
     for r in range(n):
         for c in range(n):
-            t = (r, c, square.cells[r][c])
+            t = (r, c, rows[r][c])
             cells[t[src[0]]][t[src[1]]] = t[src[2]]
     labels = (square.row_labels, square.col_labels, square.sym_labels)
     return latin_square(cells, labels[src[0]], labels[src[1]], labels[src[2]])
@@ -379,9 +401,10 @@ def conjugate_cells(square: LatinSquare, cells: Iterable[Cell],
     if sorted(order) != sorted(ROLES):
         raise InvalidInput(f"role permutation must rearrange {ROLES}, got {order}")
     src = tuple(ROLES.index(role) for role in order)
+    symbol = square.symbol
     out = []
     for r, c in cells:
-        t = (r, c, square.cells[r][c])
+        t = (r, c, symbol(r, c))
         out.append((t[src[0]], t[src[1]]))
     return tuple(out)
 

@@ -33,9 +33,10 @@ def is_complete_mapping(group: Group, sigma: Sequence[int]) -> bool:
     p = tuple(int(x) for x in sigma)
     if sorted(p) != list(range(n)):
         raise NotPermutation(f"sigma is not a permutation of 0..{n - 1}")
+    mul = group.mul
     seen = 0
     for g in range(n):
-        bit = 1 << group.table[g][p[g]]
+        bit = 1 << mul(g, p[g])
         if seen & bit:
             return False
         seen |= bit
@@ -114,7 +115,7 @@ def _lift(group: Group, members: list[int]) -> tuple[int, ...]:
     x^q N = N in index order until sigma is one m-cycle; y = e does it when
     N is abelian, and with N = {e} sigma(x^j) is x^(j+1).
     """
-    table, inv, e, m = group.table, group.inverses, group.identity, len(members)
+    mul, inv, e, m = group.mul, group.inverses, group.identity, len(members)
     x = next((g for g in members if _cached_orders(group)[g] == m), None)
     normal, psi = [e], {e: e}
     if x is None:
@@ -126,20 +127,20 @@ def _lift(group: Group, members: list[int]) -> tuple[int, ...]:
                 if len(closure) < m:
                     grown = closure
                 else:
-                    spanning.update(table[g][h] for h in grown)
+                    spanning.update(mul(g, h) for h in grown)
         x = next(g for g in members if g not in grown)
         normal = sorted(grown)
         sub = _lift(group, normal)
         psi = dict(zip(sub, sub[1:] + sub[:1]))
     q = m // len(normal)
-    powers = list(accumulate(range(q), lambda xj, _: table[xj][x], initial=e))
+    powers = list(accumulate(range(q), lambda xj, _: mul(xj, x), initial=e))
     for y in normal:
         sigma = {}
         for j, xj in enumerate(powers[:q]):
             yj = powers[j + 1] if j < q - 1 else y
             for h in normal:
-                image = psi[h] if j == 0 else table[table[inv[xj]][h]][xj]
-                sigma[table[h][xj]] = table[image][yj]
+                image = psi[h] if j == 0 else mul(mul(inv[xj], h), xj)
+                sigma[mul(h, xj)] = mul(image, yj)
         ordering = [e]
         while len(ordering) < m and sigma[ordering[-1]] != e:
             ordering.append(sigma[ordering[-1]])
@@ -162,10 +163,10 @@ def _check_successors(group: Group, order: tuple[int, ...], members: list[int]
                       ) -> tuple[bool, Collision | None]:
     if sorted(order) != members:
         raise NotPermutation("ordering is not a permutation of the subgroup")
-    table = group.table
+    mul = group.mul
     seen: dict[int, int] = {}
     for i, (a, b) in enumerate(zip(order, order[1:] + order[:1])):
-        p = table[a][b]
+        p = mul(a, b)
         if p in seen:
             return False, Collision("successor", seen[p], i, p)
         seen[p] = i

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -348,3 +349,17 @@ def test_table_negative_order_is_refused(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", f"table:{path}")
     assert code == 1 and not out and _one_error_line(err)
     assert "first line must be a positive order" in err
+
+
+def test_ladder_path_holds_no_table_at_the_order_cap(capsys):
+    # construct and verify read O(n) products through Group.mul; the n x n
+    # table of Z2046 or D1023 alone would take tens of MB
+    tracemalloc.start()
+    try:
+        for spec in ("Z2046", "D1023"):
+            assert run(capsys, "construct", spec, "--format", "json")[0] == 0
+            assert run(capsys, "verify", spec)[0] == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
