@@ -58,7 +58,7 @@ def cmd_analyze(spec: str, fmt: str) -> int:
     }
     if report.classification == CYCLIC_NONTRIVIAL:
         dec = construction.decompose(group, report=report)
-        ordering = mappings.harmonious_ordering(group, dec.fixed_part)
+        ordering = construction._fixed_ordering(dec)
         payload.update({
             "generator": group.names[dec.sylow_gen],
             "l": dec.odd_order,

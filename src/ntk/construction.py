@@ -184,17 +184,14 @@ def decompose(group: Group, *, report: SylowReport | None = None) -> Decompositi
     )
 
 
-def build_witness(dec: Decomposition,
-                  ordering: Sequence[int] | None = None) -> Witness:
-    """Materialize the ladder and prism families from a harmonious ordering.
+def _fixed_ordering(dec: Decomposition,
+                    ordering: Sequence[int] | None = None) -> tuple[int, ...]:
+    """A harmonious ordering of the fixed part: ``ordering`` if given, else
+    the one lifted over the fixed part, which ``decompose`` built as a
+    subgroup, so it is not re-tested.
 
-    ``ordering`` defaults to the harmonious ordering lifted over the fixed
-    part, which ``decompose`` built as a subgroup, so it is not re-tested.
     Either ordering passes the successor check; an override that fails it
-    raises :class:`InvalidOrdering`. The ``2n`` cells are pairwise distinct
-    without a check: a row ``b^i h`` factors uniquely, and with
-    ``gcd(k, m) = 1`` the ladder rows ``b^i h_i`` run over ``km`` distinct
-    pairs ``(i mod k, i mod m)``.
+    raises :class:`InvalidOrdering`.
     """
     group = dec.group
     members = sorted(dec.fixed_part)
@@ -207,23 +204,38 @@ def build_witness(dec: Decomposition,
     if not ok:
         failure = InvalidOrdering if given else StructureViolation
         raise failure(f"ordering is not harmonious: {collision}")
+    return ordering
 
+
+def build_witness(dec: Decomposition,
+                  ordering: Sequence[int] | None = None) -> Witness:
+    """Materialize the ladder and prism families from a harmonious ordering
+    of the fixed part (see :func:`_fixed_ordering`).
+
+    Each product is computed once: shifted ladder cell ``i`` takes the
+    column of diagonal cell ``i + 1`` (mod ``km``), and a prism's rows and
+    columns serve both halves. The ``2n`` cells are pairwise distinct
+    without a check: a row ``b^i h`` factors uniquely, and with
+    ``gcd(k, m) = 1`` the ladder rows ``b^i h_i`` run over ``km`` distinct
+    pairs ``(i mod k, i mod m)``.
+    """
+    ordering = _fixed_ordering(dec, ordering)
     k, m = dec.sylow_order, dec.fixed_order
     km = k * m
-    mul = group.mul
+    mul = dec.group.mul
     powers = dec.gen_powers
 
-    ladder_rows = [mul(powers[i % k], ordering[i % m]) for i in range(km)]
-    ladder = tuple(
-        (row, mul(ordering[(i + s) % m], powers[(i + s) % k]))
-        for s in (0, 1) for i, row in enumerate(ladder_rows)
-    )
-    moved = [f for pair in dec.orbit_pairs for f in pair]
-    prisms = tuple(
-        (mul(powers[i], f), mul(f, powers[(i + s) % k]))
-        for s in (0, 1) for f in moved for i in range(k)
-    )
-    return Witness(dec, ordering, ladder, prisms)
+    rows = [mul(powers[i % k], ordering[i % m]) for i in range(km)]
+    cols = [mul(ordering[i % m], powers[i % k]) for i in range(km)]
+    ladder = tuple(zip(rows, cols)) + tuple(zip(rows, cols[1:] + cols[:1]))
+    diagonal: list[Cell] = []
+    shifted: list[Cell] = []
+    for f in [f for pair in dec.orbit_pairs for f in pair]:
+        run_rows = [mul(p, f) for p in powers]
+        run_cols = [mul(f, p) for p in powers]
+        diagonal.extend(zip(run_rows, run_cols))
+        shifted.extend(zip(run_rows, run_cols[1:] + run_cols[:1]))
+    return Witness(dec, ordering, ladder, tuple(diagonal + shifted))
 
 
 def extract_near_transversal(witness: Witness) -> tuple[Cell, ...]:

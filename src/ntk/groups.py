@@ -11,9 +11,13 @@ Each group computes its product with ``Group.mul``: a constructor by
 formula in Python ints (words in Z_n, D_n and Dic_n; pairs taken apart by
 ``divmod`` for direct and twisted products), and a group that holds a
 table, from :func:`group_from_table` or :func:`symmetric`, by reading it.
-``Group.table`` is built by numpy on first read and cached, its n^2
-entries sharing n int objects; the construction and its checks read O(n)
-products and never build it.
+A constructor's ``Group.table`` is built from ``mul`` on first read and
+cached (:func:`symmetric` builds it at once, from the composition of
+permutations): the row of each generator takes n products, and every
+other row is one gather of a row already built, by right translation. Its
+n^2 entries share n int objects. The construction and its checks read O(n)
+products and never build it. numpy is imported only by
+:func:`group_from_table`, to check a table that comes in.
 
 Tables that come in are checked; products computed here are not.
 :func:`group_from_table` checks the latin property, a two-sided identity
@@ -32,19 +36,22 @@ which is exact in a finite group and costs O(|S|) per generator.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import re
 from dataclasses import dataclass, field
 from math import gcd
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .errors import InvalidAction, NoIdentity, NotAssociative, NotLatin
 
 # Rows of the table compared per step of the associativity check, so its
 # temporaries stay small next to the table itself.
 _ASSOC_BLOCK_ROWS = 64
+
+_WHITESPACE = re.compile(r"\s")
 
 # Sylow 2-subgroup classifications.
 TRIVIAL = "trivial"
@@ -168,14 +175,16 @@ def _generate(mul: Callable[[int, int], int], identity: int,
     return gens, reached
 
 
-def _check_associative(arr: np.ndarray, identity: int) -> None:
+def _check_associative(arr, identity: int) -> None:
     """Light's test: ``(x*a)*y == x*(a*y)`` for every x, y and each a in a
-    greedy generating set.
+    greedy generating set, over the n x n numpy array ``arr``.
 
     The elements a that pass for all x, y are closed under the product and
     include the identity, so they contain everything the generators reach;
     the check is therefore exact.
     """
+    import numpy as np
+
     n = len(arr)
     gens, _ = _generate(lambda x, y: arr[x, y], identity, range(n))
     for a in gens:
@@ -202,18 +211,21 @@ def _first_repeat(lines: Iterable[Iterable[int]]) -> tuple[int, int]:
     raise AssertionError("no line repeats a symbol")
 
 
-def group_from_table(raw: np.ndarray | Sequence[Sequence[int]],
+def group_from_table(raw: Sequence[Sequence[int]],
                      names: Sequence[str] | None = None,
                      *,
                      label: str = "") -> Group:
     """Validate a raw multiplication table and wrap it as a :class:`Group`.
 
-    ``raw`` is an n x n integer array or n rows of n integers. Raises
+    ``raw`` is n rows of n integers or an n x n integer numpy array; the
+    checks run in numpy, which no other route imports. Raises
     :class:`NotLatin`, :class:`NoIdentity` or :class:`NotAssociative` with
     the first offending row/element/triple named in the message;
     ``names`` of the wrong count, repeated or holding whitespace raise
     :class:`NotLatin` too.
     """
+    import numpy as np
+
     n = len(raw)
     if n == 0:
         raise NotLatin("empty table")
@@ -244,40 +256,73 @@ def group_from_table(raw: np.ndarray | Sequence[Sequence[int]],
     # every element has a two-sided inverse and nothing more is checked.
     _check_associative(arr, identity)
     table = _shared_rows(arr)
-    return _group(n, identity, names, label, lambda g, h: table[g][h], lambda: table)
+    return _group(n, identity, names, label, table=table)
 
 
-def _shared_rows(arr: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """The rows of an n x n table as tuples of Python ints.
+def _shared_rows(arr) -> tuple[tuple[int, ...], ...]:
+    """The rows of an n x n numpy table as tuples of Python ints.
 
     Every entry is looked up in ``pool``, so the n^2 entries share its n int
     objects instead of holding one each.
     """
+    import numpy as np
+
     pool = np.arange(len(arr)).astype(object)
     return tuple(tuple(pool[row].tolist()) for row in arr)
 
 
-def _group(n: int, identity: int, names: Sequence[str] | None, label: str,
-           mul: Callable[[int, int], int],
-           build: Callable[[], tuple[tuple[int, ...], ...]]) -> Group:
+def _build_table(n: int, identity: int,
+                 mul: Callable[[int, int], int]) -> tuple[tuple[int, ...], ...]:
+    """The full table of a product, by right translation.
+
+    Each greedy generator s of :func:`_generate` costs one row of n
+    products. Every other row is one gather of a row already built, since
+    ``(x*s)*h = x*(s*h)`` makes row ``x*s`` the row of x read at the
+    entries of row s. The rows grow from the identity's, ``tuple(range(n))``,
+    so all n^2 entries are its n int objects.
+    """
+    elems = tuple(range(n))
+    gens, _ = _generate(mul, identity, elems)
+    gathers = [(s, itemgetter(*map(mul, itertools.repeat(s, n), elems))) for s in gens]
+    rows: list = [None] * n
+    rows[identity] = elems
+    stack = [identity]
+    while stack:
+        row = rows[stack.pop()]
+        for s, gather in gathers:
+            y = row[s]
+            if rows[y] is None:
+                rows[y] = gather(row)
+                stack.append(y)
+    return tuple(rows)
+
+
+def _group(n: int, identity: int, names: Sequence[str] | None, label: str, *,
+           mul: Callable[[int, int], int] | None = None,
+           table: tuple[tuple[int, ...], ...] | None = None) -> Group:
     """Wrap a product, whose identity the caller knows, as a :class:`Group`.
 
-    Neither ``mul`` nor the table that ``build`` makes on its first read is
-    checked: they come from :func:`group_from_table` after its checks, or
-    from a constructor whose formula is a group. The caller's ``names`` are
-    checked, as they come from outside.
+    The caller gives ``mul``, and the table is built from it on first read
+    (:func:`_build_table`), or the ``table`` it holds, which ``mul`` then
+    reads. Neither is checked: it comes from :func:`group_from_table` after
+    its checks, or from a constructor whose formula is a group. The
+    caller's ``names`` are checked, as they come from outside.
     """
     if names is None:
-        names = tuple(str(i) for i in range(n))
+        names = tuple(map(str, range(n)))
     else:
-        names = tuple(str(x) for x in names)
+        names = tuple(map(str, names))
         if len(names) != n:
             raise NotLatin(f"names: expected {n} element names, got {len(names)}")
         if len(set(names)) != n:
             dup = next(x for i, x in enumerate(names) if x in names[:i])
             raise NotLatin(f"names: element name {dup!r} repeats")
-        if any(any(ch.isspace() for ch in name) for name in names):
+        if _WHITESPACE.search("".join(names)):
             raise NotLatin("names: element names must be whitespace-free")
+    if table is None:
+        build = functools.partial(_build_table, n, identity, mul)
+    else:
+        mul, build = (lambda g, h: table[g][h]), (lambda: table)
     return Group(n=n, identity=identity, names=names, mul=mul, label=label, _build=build)
 
 
@@ -333,18 +378,8 @@ def cyclic(n: int, gen: str = "c") -> Group:
     """Cyclic group of order ``n``, elements named 1, c, c2, ..."""
     if n < 1:
         raise ValueError("order must be positive")
-    r = np.arange(n)
     names = [_pow_word(gen, i) for i in range(n)]
-    return _group(n, 0, names, f"Z{n}", lambda g, h: (g + h) % n,
-                  lambda: _shared_rows((r[:, None] + r[None, :]) % n))
-
-
-def _word_exponents(size: int) -> tuple[np.ndarray, ...]:
-    """Exponents (j, i) of the element ``j*size + i``, 0 <= j < 2, as column
-    vectors for the left factor and row vectors for the right one."""
-    idx = np.arange(2 * size)
-    j, i = idx // size, idx % size
-    return j[:, None], i[:, None], j[None, :], i[None, :]
+    return _group(n, 0, names, f"Z{n}", mul=lambda g, h: (g + h) % n)
 
 
 def dihedral(n: int, gens: tuple[str, str] = ("r", "s")) -> Group:
@@ -355,7 +390,6 @@ def dihedral(n: int, gens: tuple[str, str] = ("r", "s")) -> Group:
     if n < 1:
         raise ValueError("order parameter must be positive")
     rg, sg = gens
-    j1, i1, j2, i2 = _word_exponents(n)
 
     def mul(g, h):
         j, i = divmod(g, n)
@@ -364,8 +398,7 @@ def dihedral(n: int, gens: tuple[str, str] = ("r", "s")) -> Group:
 
     names = [_concat_words((_pow_word(sg, j), _pow_word(rg, i)))
              for j in range(2) for i in range(n)]
-    return _group(2 * n, 0, names, f"D{n}", mul, lambda: _shared_rows(
-        (j1 ^ j2) * n + (np.where(j2 == 0, i1, -i1) + i2) % n))
+    return _group(2 * n, 0, names, f"D{n}", mul=mul)
 
 
 def dicyclic(n: int, gens: tuple[str, str] = ("a", "x")) -> Group:
@@ -377,7 +410,6 @@ def dicyclic(n: int, gens: tuple[str, str] = ("a", "x")) -> Group:
         raise ValueError("order parameter must be positive")
     ag, xg = gens
     two_n = 2 * n
-    j1, i1, j2, i2 = _word_exponents(two_n)
 
     def mul(g, h):
         j, i = divmod(g, two_n)
@@ -386,8 +418,7 @@ def dicyclic(n: int, gens: tuple[str, str] = ("a", "x")) -> Group:
 
     names = [_concat_words((_pow_word(ag, i), xg if j else "1"))
              for j in range(2) for i in range(two_n)]
-    return _group(4 * n, 0, names, f"Dic{n}", mul, lambda: _shared_rows(
-        (j1 ^ j2) * two_n + (i1 + np.where(j1 == 0, i2, -i2) + n * (j1 & j2)) % two_n))
+    return _group(4 * n, 0, names, f"Dic{n}", mul=mul)
 
 
 def symmetric(n: int) -> Group:
@@ -399,14 +430,11 @@ def symmetric(n: int) -> Group:
     if n < 1:
         raise ValueError("degree must be positive")
     perms = list(itertools.permutations(range(n)))
-    arr = np.array(perms)
-    # Base-n codes of the permutations increase in lexicographic order, so a
-    # product's index is the position of its code among them.
-    weights = n ** np.arange(n - 1, -1, -1)
-    codes = arr @ weights
-    table = _shared_rows(np.stack([np.searchsorted(codes, p[arr] @ weights) for p in arr]))
+    index = {p: i for i, p in enumerate(perms)}
+    table = _build_table(len(perms), 0, lambda g, h: index[
+        tuple(map(perms[g].__getitem__, perms[h]))])
     names = [_cycle_notation(p) for p in perms]
-    return _group(len(perms), 0, names, f"S{n}", lambda g, h: table[g][h], lambda: table)
+    return _group(len(perms), 0, names, f"S{n}", table=table)
 
 
 def direct_product(a: Group, b: Group, label: str = "") -> Group:
@@ -419,14 +447,10 @@ def direct_product(a: Group, b: Group, label: str = "") -> Group:
         ha, hb = divmod(h, nb)
         return mul_a(ga, ha) * nb + mul_b(gb, hb)
 
-    def table():  # axes: (a1, b1, a2, b2) for the product of (a1, b1) by (a2, b2)
-        t = np.array(a.table)[:, None, :, None] * nb + np.array(b.table)[None, :, None, :]
-        return _shared_rows(t.reshape(n, n))
-
     names = _product_names(a.names, b.names)
     if not label and a.label and b.label:
         label = f"{a.label} x {b.label}"
-    return _group(n, a.identity * nb + b.identity, names, label, mul, table)
+    return _group(n, a.identity * nb + b.identity, names, label, mul=mul)
 
 
 def semidirect(k_part: Group, h_part: Group,
@@ -445,29 +469,33 @@ def semidirect(k_part: Group, h_part: Group,
     nk, nh = k_part.n, h_part.n
     if len(action) != nk:
         raise InvalidAction(f"expected {nk} permutations, got {len(action)}")
+    acts = []
     for ki, perm in enumerate(action):
-        if sorted(int(x) for x in perm) != list(range(nh)):
+        acts.append(tuple(int(x) for x in perm))
+        if sorted(acts[-1]) != list(range(nh)):
             raise InvalidAction(f"action[{ki}] is not a permutation of 0..{nh - 1}")
-    acts = np.array([[int(x) for x in perm] for perm in action], dtype=np.int64)
-    tk, th = np.array(k_part.table), np.array(h_part.table)
+    # Whole rows are compared, each made by one C-level map over a table
+    # row, so the checks take O(|K| |H| + |K|^2) interpreter steps.
+    tk, th = k_part.table, h_part.table
     for ki, p in enumerate(acts):
         if p[h_part.identity] != h_part.identity:
             raise InvalidAction(f"action[{ki}] moves the identity")
-        bad = p[th] != th[p[:, None], p[None, :]]  # p(x*y) != p(x)*p(y)
-        if bad.any():
-            x, y = map(int, np.argwhere(bad)[0])
-            raise InvalidAction(
-                f"action[{ki}] is not an automorphism: images of {x}*{y} disagree"
-            )
-    for k1 in range(nk):
-        bad = (acts[k1][acts] != acts[tk[k1]]).any(axis=1)  # over k2
-        if bad.any():
-            k2 = int(np.flatnonzero(bad)[0])
-            raise InvalidAction(f"action is not a homomorphism at K elements ({k1},{k2})")
+        for x, row in enumerate(th):
+            images = tuple(map(p.__getitem__, row))        # p(x*y) over y
+            products = tuple(map(th[p[x]].__getitem__, p))  # p(x)*p(y) over y
+            if images != products:
+                y = next(y for y in range(nh) if images[y] != products[y])
+                raise InvalidAction(
+                    f"action[{ki}] is not an automorphism: images of {x}*{y} disagree"
+                )
+    for k1, p in enumerate(acts):
+        for k2, k12 in enumerate(tk[k1]):
+            if tuple(map(p.__getitem__, acts[k2])) != acts[k12]:
+                raise InvalidAction(f"action is not a homomorphism at K elements ({k1},{k2})")
 
     n = nk * nh
     # twisted[k2][h1] = action[inv(k2)](h1)
-    twisted = acts[list(k_part.inverses)].tolist()
+    twisted = [acts[k] for k in k_part.inverses]
     mul_k, mul_h = k_part.mul, h_part.mul
 
     def mul(g, h):
@@ -475,13 +503,8 @@ def semidirect(k_part: Group, h_part: Group,
         k2, h2 = divmod(h, nh)
         return mul_k(k1, k2) * nh + mul_h(twisted[k2][h1], h2)
 
-    def table():  # axes: (k1, h1, k2, h2)
-        tk, th = np.array(k_part.table), np.array(h_part.table)
-        t = tk[:, None, :, None] * nh + th[np.array(twisted).T][None, :, :, :]
-        return _shared_rows(t.reshape(n, n))
-
     names = _product_names(k_part.names, h_part.names)
-    return _group(n, k_part.identity * nh + h_part.identity, names, label, mul, table)
+    return _group(n, k_part.identity * nh + h_part.identity, names, label, mul=mul)
 
 
 # ---------------------------------------------------------------------------

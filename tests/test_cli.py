@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -363,3 +367,35 @@ def test_ladder_path_holds_no_table_at_the_order_cap(capsys):
     finally:
         tracemalloc.stop()
     assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+_NO_NUMPY_SCRIPT = """
+import sys
+import ntk.cli
+assert "numpy" not in sys.modules, "import ntk.cli"
+for argv in sys.argv[2:]:
+    assert ntk.cli.main(argv.split("|")) == 0, argv
+    assert "numpy" not in sys.modules, argv
+# a table that comes in is still checked, by numpy
+assert ntk.cli.main(["construct", "table:" + sys.argv[1]]) == 1
+assert "numpy" in sys.modules
+"""
+
+
+def test_built_in_specs_never_import_numpy(tmp_path):
+    # Only a table that comes in needs numpy; built-in groups build their
+    # tables in pure Python, so the import and these calls leave it unloaded.
+    loop = tmp_path / "loop.txt"
+    loop.write_text("5\n0 1 2 3 4\n1 0 3 4 2\n2 3 4 0 1\n3 4 1 2 0\n4 2 0 1 3\n")
+    twisted = Path(__file__).parent / "data" / "z6_on_z13_by_3.txt"
+    calls = ["construct|Z2046|--format|json", "verify|D1023", "analyze|S3 x Z85",
+             "oracle|count|Z8", "oracle|completemapping|Dic2", "render|S3",
+             f"construct|sd:Z6,Z13,{twisted}", "catalog|--max-order|30"]
+    src = str(Path(ntk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT, str(loop), *calls],
+                          env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "(x*a)*y != x*(a*y)" in proc.stderr

@@ -100,10 +100,23 @@ def test_array_and_nested_list_give_equal_groups():
             assert getattr(from_array, attr) == getattr(from_list, attr)
 
 
+def _assert_table_reads_mul(g):
+    """The table equals ``mul`` entry by entry, and its n^2 entries are n
+    int objects, not n^2: at n = 2048 separate ints would cost ~100 MB."""
+    for x in g.elements():
+        products = tuple(map(g.mul, itertools.repeat(x, g.n), g.elements()))
+        assert products == g.table[x], (g.label, x)
+    assert len({id(v) for row in g.table for v in row}) == g.n, g.label
+
+
+# Groups at the order cap, and S6, whose tables are built by right
+# translation from a few rows of products.
+CAP_SPECS = ("Z2046", "D1023", "Dic511", "S3 x Z341", "S6")
+
+
 def test_table_entries_share_one_int_per_element():
-    # n int objects, not n^2: at n = 2048 separate ints would cost ~100 MB
-    table = ntk.cyclic(1000).table
-    assert len({id(x) for row in table for x in row}) == 1000
+    for spec in CAP_SPECS:
+        _assert_table_reads_mul(parse_group_spec(spec)[0])
 
 
 # Large groups of every witness shape and S6; the constructors build their
@@ -123,17 +136,17 @@ def _identity_off_zero_products():
 def test_round_trip_catalog():
     """Every built-in constructor's product agrees with its table, which
     passes ``group_from_table``'s checks and gives the same group, identity
-    and inverses included."""
+    and inverses included. Both tables share one int per element."""
     built = [entry.group for entry in builtin_catalog(200)]
     built += [parse_group_spec(spec)[0] for spec in LARGE_SPECS]
     built += _identity_off_zero_products()
     for g in built:
+        _assert_table_reads_mul(g)
         for x in g.elements():
-            products = tuple(map(g.mul, itertools.repeat(x, g.n), g.elements()))
-            assert products == g.table[x], (g.label, x)
             assert g.table[x][g.inverses[x]] == g.identity, (g.label, x)
         again = ntk.group_from_table(g.table, g.names)
         assert again == g, g.label
+        assert len({id(v) for row in again.table for v in row}) == g.n, g.label
         for attr in ("n", "table", "identity", "inverses", "names"):
             assert getattr(again, attr) == getattr(g, attr), (g.label, attr)
     assert len(built) == 383 + len(LARGE_SPECS) + 3
