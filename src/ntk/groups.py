@@ -16,17 +16,18 @@ cached (:func:`symmetric` builds it at once, from the composition of
 permutations): the row of each generator takes n products, and every
 other row is one gather of a row already built, by right translation. Its
 n^2 entries share n int objects. The construction and its checks read O(n)
-products and never build it. numpy is imported only by
-:func:`group_from_table`, to check a table that comes in.
+products and never build it. Everything here is pure Python.
 
 Tables that come in are checked; products computed here are not.
-:func:`group_from_table` checks the latin property, a two-sided identity
-and associativity, by Light's test over a generating set (exact, O(n^2)
-per generator), and :func:`semidirect` checks its action to be a
-homomorphism into Aut(H), which is exactly what makes the product a group.
-The test suite checks every constructor's product against its table and
-passes the tables back through :func:`group_from_table`. Names are checked
-on every route.
+:func:`group_from_table` checks that the entries are ints in [0, n), that
+every row is a permutation, a two-sided identity and associativity, by
+Light's test over a generating set (exact, O(n^2) per generator). Those
+facts make the table a group, so its columns are permutations too; they
+are scanned only when a check fails, to name a repeated column first.
+:func:`semidirect` checks its action to be a homomorphism into Aut(H),
+which is exactly what makes the product a group. The test suite checks
+every constructor's product against its table and passes the tables back
+through :func:`group_from_table`. Names are checked on every route.
 
 Structural facts are computed once and checked over generators: element
 orders and inverses are cached on the group on first use, and subgroup
@@ -46,10 +47,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidAction, NoIdentity, NotAssociative, NotLatin
-
-# Rows of the table compared per step of the associativity check, so its
-# temporaries stay small next to the table itself.
-_ASSOC_BLOCK_ROWS = 64
 
 _WHITESPACE = re.compile(r"\s")
 
@@ -175,31 +172,6 @@ def _generate(mul: Callable[[int, int], int], identity: int,
     return gens, reached
 
 
-def _check_associative(arr, identity: int) -> None:
-    """Light's test: ``(x*a)*y == x*(a*y)`` for every x, y and each a in a
-    greedy generating set, over the n x n numpy array ``arr``.
-
-    The elements a that pass for all x, y are closed under the product and
-    include the identity, so they contain everything the generators reach;
-    the check is therefore exact.
-    """
-    import numpy as np
-
-    n = len(arr)
-    gens, _ = _generate(lambda x, y: arr[x, y], identity, range(n))
-    for a in gens:
-        right, left = arr[:, a], arr[a]
-        for lo in range(0, n, _ASSOC_BLOCK_ROWS):
-            lhs = arr[right[lo:lo + _ASSOC_BLOCK_ROWS]]   # (x*a)*y
-            rhs = arr[lo:lo + _ASSOC_BLOCK_ROWS][:, left]  # x*(a*y)
-            if not np.array_equal(lhs, rhs):
-                x, y = map(int, np.argwhere(lhs != rhs)[0])
-                raise NotAssociative(
-                    f"(x*a)*y != x*(a*y) for (x,a,y) = ({x + lo},{a},{y}): "
-                    f"{lhs[x, y]} != {rhs[x, y]}"
-                )
-
-
 def _first_repeat(lines: Iterable[Iterable[int]]) -> tuple[int, int]:
     """The first line that repeats a symbol, and the first symbol it repeats."""
     for i, line in enumerate(lines):
@@ -211,64 +183,90 @@ def _first_repeat(lines: Iterable[Iterable[int]]) -> tuple[int, int]:
     raise AssertionError("no line repeats a symbol")
 
 
+def _latin_rows(raw: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The rows of an n x n table of ints in [0, n), each a permutation.
+
+    Each row is one C-level gather from ``pool``, whose keys are exactly the
+    ints 0..n-1: a miss is an entry out of range or not an int, and the n^2
+    entries share the pool's n int objects. Raises :class:`NotLatin` naming
+    the first short row, bad entry or row that repeats a symbol.
+    """
+    n = len(raw)
+    if n == 0:
+        raise NotLatin("empty table")
+    for i, row in enumerate(raw):
+        if len(row) != n:
+            raise NotLatin(f"row {i} has length {len(row)}, expected {n}")
+    pool = {i: i for i in range(n)}
+    rows = []
+    for g, row in enumerate(raw):
+        try:
+            rows.append(itemgetter(*row)(pool))
+        except (KeyError, TypeError):
+            for h, v in enumerate(row):
+                try:
+                    pool[v]
+                except (KeyError, TypeError):
+                    shown = repr(v) if isinstance(v, str) else v  # "1" is not 1
+                    raise NotLatin(f"entry table[{g}][{h}] = {shown} outside [0, {n})") from None
+            raise
+    if n == 1:
+        rows = [tuple(rows)]  # itemgetter of one item returns it bare
+    if any(len(set(row)) != n for row in rows):
+        raise NotLatin("row %d repeats symbol %d" % _first_repeat(rows))
+    return tuple(rows)
+
+
+def _check_columns(rows: Sequence[Sequence[int]]) -> None:
+    """Raise :class:`NotLatin` naming the first column that repeats a symbol."""
+    n = len(rows)
+    if any(len(set(col)) != n for col in zip(*rows)):
+        raise NotLatin("column %d repeats symbol %d" % _first_repeat(zip(*rows)))
+
+
 def group_from_table(raw: Sequence[Sequence[int]],
                      names: Sequence[str] | None = None,
                      *,
                      label: str = "") -> Group:
     """Validate a raw multiplication table and wrap it as a :class:`Group`.
 
-    ``raw`` is n rows of n integers or an n x n integer numpy array; the
-    checks run in numpy, which no other route imports. Raises
+    ``raw`` is n rows of n ints in [0, n): any sequence of sequences whose
+    entries equal such ints, so 1.5 or "1" is refused. Raises
     :class:`NotLatin`, :class:`NoIdentity` or :class:`NotAssociative` with
-    the first offending row/element/triple named in the message;
+    the first offending row/column/element/triple named in the message;
     ``names`` of the wrong count, repeated or holding whitespace raise
     :class:`NotLatin` too.
+
+    Associativity is Light's test over a greedy generating set: for each
+    generator a, row ``x*a`` must be row x read at the entries of row a,
+    which is ``(x*a)*y == x*(a*y)`` for every y. The elements a that pass
+    are closed under the product and include the identity, so they contain
+    everything the generators reach, and the test is exact. The columns are
+    scanned only when the identity or Light's test fails, so that a
+    repeated column is named first: a table whose rows are permutations,
+    with a two-sided identity, that passes is a finite monoid with left
+    cancellation, which is a group, and its columns are permutations too.
     """
-    import numpy as np
-
-    n = len(raw)
-    if n == 0:
-        raise NotLatin("empty table")
-    if not isinstance(raw, np.ndarray):
-        for i, row in enumerate(raw):
-            if len(row) != n:
-                raise NotLatin(f"row {i} has length {len(row)}, expected {n}")
-    arr = np.asarray(raw, dtype=np.int64)
-    if arr.shape != (n, n):
-        raise NotLatin(f"table of shape {arr.shape} is not {n} x {n}")
-    if arr.min() < 0 or arr.max() >= n:
-        g, h = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
-        raise NotLatin(f"entry table[{g}][{h}] = {arr[g, h]} outside [0, {n})")
-
-    ident = np.arange(n)
-    if not np.array_equal(np.sort(arr, axis=1), np.broadcast_to(ident, arr.shape)):
-        raise NotLatin("row %d repeats symbol %d" % _first_repeat(arr.tolist()))
-    if not np.array_equal(np.sort(arr, axis=0), np.broadcast_to(ident[:, None], arr.shape)):
-        raise NotLatin("column %d repeats symbol %d" % _first_repeat(arr.T.tolist()))
-
-    is_row_id = (arr == ident).all(axis=1)
-    is_col_id = (arr.T == ident).all(axis=1)
-    both = np.flatnonzero(is_row_id & is_col_id)
-    if both.size == 0:
+    rows = _latin_rows(raw)
+    n = len(rows)
+    elems = tuple(range(n))
+    identity = next((e for e, row in enumerate(rows)
+                     if row == elems and tuple(map(itemgetter(e), rows)) == elems), None)
+    if identity is None:
+        _check_columns(rows)
         raise NoIdentity("no two-sided identity element")
-    identity = int(both[0])
-    # A latin square with an identity that is associative is a group, so
-    # every element has a two-sided inverse and nothing more is checked.
-    _check_associative(arr, identity)
-    table = _shared_rows(arr)
-    return _group(n, identity, names, label, table=table)
-
-
-def _shared_rows(arr) -> tuple[tuple[int, ...], ...]:
-    """The rows of an n x n numpy table as tuples of Python ints.
-
-    Every entry is looked up in ``pool``, so the n^2 entries share its n int
-    objects instead of holding one each.
-    """
-    import numpy as np
-
-    pool = np.arange(len(arr)).astype(object)
-    return tuple(tuple(pool[row].tolist()) for row in arr)
+    gens, _ = _generate(lambda x, y: rows[x][y], identity, elems)
+    for a in gens:
+        gather = itemgetter(*rows[a])
+        for x, row in enumerate(rows):
+            lhs, rhs = rows[row[a]], gather(row)  # (x*a)*y and x*(a*y) over y
+            if lhs != rhs:
+                _check_columns(rows)
+                y = next(y for y in elems if lhs[y] != rhs[y])
+                raise NotAssociative(
+                    f"(x*a)*y != x*(a*y) for (x,a,y) = ({x},{a},{y}): {lhs[y]} != {rhs[y]}"
+                )
+    return _group(n, identity, names, label, table=rows)
 
 
 def _build_table(n: int, identity: int,
@@ -664,7 +662,7 @@ def _read_rows(text: str, what: str) -> tuple[list[list[int]], list[str]]:
     rows = []
     for line in lines[1:n + 1]:
         try:
-            rows.append([int(x) for x in line.split()])
+            rows.append(list(map(int, line.split())))
         except ValueError:
             raise NotLatin(f"row {len(rows)} has a non-integer entry: {line!r}") from None
     return rows, lines[n + 1:]

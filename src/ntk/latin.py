@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidInput, NotLatin, NotPermutation
 from .guards import ensure_within
-from .groups import Group, _read_rows
+from .groups import Group, _check_columns, _latin_rows, _read_rows
 
 Cell = tuple[int, int]
 
@@ -75,30 +75,25 @@ def latin_square(cells: Sequence[Sequence[int]],
                  row_labels: Sequence[str] | None = None,
                  col_labels: Sequence[str] | None = None,
                  sym_labels: Sequence[str] | None = None) -> LatinSquare:
-    """Validate rows/columns as permutations and build a LatinSquare."""
-    rows = [tuple(int(x) for x in row) for row in cells]
+    """Validate rows/columns as permutations and build a LatinSquare.
+
+    The rows and columns are checked as :func:`ntk.groups.group_from_table`
+    checks them, with its messages; labels of the wrong count raise
+    :class:`NotLatin` too.
+    """
+    rows = _latin_rows(cells)
+    _check_columns(rows)
     n = len(rows)
-    if n == 0:
-        raise NotLatin("empty square")
-    full = frozenset(range(n))
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise NotLatin(f"row {i} has length {len(row)}, expected {n}")
-        if set(row) != full:
-            raise NotLatin(f"row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        if {row[j] for row in rows} != full:
-            raise NotLatin(f"column {j} is not a permutation of 0..{n - 1}")
 
     def _labels(given):
         if given is None:
             return tuple(str(i) for i in range(n))
         out = tuple(str(x) for x in given)
         if len(out) != n:
-            raise ValueError(f"expected {n} labels, got {len(out)}")
+            raise NotLatin(f"labels: expected {n} labels, got {len(out)}")
         return out
 
-    return _square(tuple(rows), _labels(row_labels), _labels(col_labels), _labels(sym_labels))
+    return _square(rows, _labels(row_labels), _labels(col_labels), _labels(sym_labels))
 
 
 def _square(rows: tuple[tuple[int, ...], ...], *labels: tuple[str, ...]) -> LatinSquare:

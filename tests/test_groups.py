@@ -79,6 +79,24 @@ def test_short_row_named():
         ntk.group_from_table([[0, 1], [1]])
 
 
+@pytest.mark.parametrize("raw, shown", [([[0, 1.5], [1.5, 0]], "1.5"),
+                                        ([[0, "1"], ["1", 0]], "'1'")])
+def test_entries_that_are_not_ints_are_refused(raw, shown):
+    with pytest.raises(NotLatin, match=rf"^entry table\[0\]\[1\] = {shown} outside \[0, 2\)$"):
+        ntk.group_from_table(raw)
+
+
+@pytest.mark.parametrize("raw, message", [
+    # no identity, and column 0 repeats: the column is named
+    ([[0, 1, 2], [1, 2, 0], [1, 2, 0]], "column 0 repeats symbol 1"),
+    # identity 0, not associative, and column 1 repeats: the column is named
+    ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "column 1 repeats symbol 1"),
+])
+def test_repeated_column_is_named_before_identity_and_associativity(raw, message):
+    with pytest.raises(NotLatin, match=f"^{message}$"):
+        ntk.group_from_table(raw)
+
+
 def _raised(raw):
     with pytest.raises(Exception) as info:
         ntk.group_from_table(raw)

@@ -28,6 +28,17 @@ def test_latin_square_rejects_bad_rows():
         ntk.latin_square([[0, 1], [0, 1]])
 
 
+@pytest.mark.parametrize("cells", [[[0, 1.5], [1.5, 0]], [[0, "1"], ["1", 0]]])
+def test_latin_square_refuses_entries_that_are_not_ints(cells):
+    with pytest.raises(NotLatin, match=r"^entry table\[0\]\[1\] = .* outside \[0, 2\)$"):
+        ntk.latin_square(cells)
+
+
+def test_latin_square_labels_of_the_wrong_count():
+    with pytest.raises(NotLatin, match="^labels: expected 2 labels, got 1$"):
+        ntk.latin_square([[0, 1], [1, 0]], col_labels=["a"])
+
+
 # ---------------------------------------------------------------------------
 # partial transversal predicate
 
