@@ -22,11 +22,6 @@ from .construction import (
 )
 from .graphs import (
     LabeledGraph,
-    WitnessReport,
-    WitnessShape,
-    check_mobius,
-    check_prisms,
-    check_separation,
     check_witness,
     induced_subgraph,
     max_independent_set,

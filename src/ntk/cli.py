@@ -89,6 +89,10 @@ def cmd_construct(spec: str, fmt: str, names: list[str] | None, guard: int | Non
     return EXIT_OK
 
 
+def _verdict(section: dict) -> str:
+    return "pass" if section["passed"] else "FAIL"
+
+
 def cmd_verify(spec: str, fmt: str, names: list[str] | None) -> int:
     group, label = parse_group_spec(spec)
     report = sylow2(group)
@@ -100,19 +104,19 @@ def cmd_verify(spec: str, fmt: str, names: list[str] | None) -> int:
     ordering = _parse_ordering(group, names) if names else None
     dec = construction.decompose(group, report=report)
     wreport = graphs.check_witness(construction.build_witness(dec, ordering))
-    payload = {"group": label, **wreport.to_json()}
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"group": label, **wreport}, indent=2))
     else:
+        mobius, prisms = wreport["mobius"], wreport["prisms"]
         print(f"group: {label}")
-        print(f"claim1: {'pass' if wreport.separation.passed else 'FAIL'}")
-        print(f"mobius: {'pass' if wreport.mobius.passed else 'FAIL'} "
-              f"(rim {wreport.mobius.rim_length}, chords at {list(wreport.mobius.chord_offsets)})")
-        print(f"prisms: {'pass' if wreport.prisms.passed else 'FAIL'} "
-              f"({wreport.prisms.prism_count} prisms, matching offset {wreport.prisms.matching_offset})")
-        print(f"independent set size: {wreport.extracted_size}")
-        print(f"overall: {'pass' if wreport.passed else 'FAIL'}")
-    return EXIT_OK if wreport.passed else EXIT_VERIFY
+        print(f"claim1: {_verdict(wreport['claim1'])}")
+        print(f"mobius: {_verdict(mobius)} "
+              f"(rim {mobius['rimLength']}, chords at {mobius['chordOffsets']})")
+        print(f"prisms: {_verdict(prisms)} "
+              f"({prisms['prismCount']} prisms, matching offset {prisms['matchingOffset']})")
+        print(f"independent set size: {wreport['independentSetSize']}")
+        print(f"overall: {_verdict(wreport)}")
+    return EXIT_OK if wreport["passed"] else EXIT_VERIFY
 
 
 def cmd_oracle(spec: str, which: str, fmt: str, guard: int | None) -> int:
@@ -167,7 +171,7 @@ def cmd_catalog(max_order: int, flt: str, guard: int | None, fmt: str) -> int:
             continue
         try:
             result = construction.near_transversal(group, guard=guard)
-            ok = result.witness is None or graphs.check_witness(result.witness).passed
+            ok = result.witness is None or graphs.check_witness(result.witness)["passed"]
             status = "pass" if ok else "FAIL"
             if ok:
                 passed += 1

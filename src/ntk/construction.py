@@ -115,7 +115,6 @@ class ConstructionResult:
     group: Group
     branch: str
     cells: tuple[Cell, ...]
-    sylow: SylowReport
     k: int
     l: int
     m: int | None = None
@@ -288,7 +287,6 @@ def near_transversal(group: Group, *,
             group=group,
             branch=BRANCH_CONSTRUCTION,
             cells=cells,
-            sylow=report,
             k=k,
             l=dec.odd_order,
             m=dec.fixed_order,
@@ -318,7 +316,6 @@ def near_transversal(group: Group, *,
         group=group,
         branch=BRANCH_COMPLETE_MAPPING,
         cells=cells,
-        sylow=report,
         k=k,
         l=n // k,
     )

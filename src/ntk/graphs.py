@@ -2,28 +2,33 @@
 
 Vertices of the latin square graph are cells; two cells are adjacent when
 they share a row, a column, or a symbol, and every edge carries that label.
-The witness checks below certify, constructively, that the cells produced
+The witness certificate confirms, constructively, that the cells produced
 by the construction module induce one Möbius ladder (over the fixed block)
 plus a disjoint union of prisms (over the moved block), mirroring how the
-guarantee is proved rather than calling a generic isomorphism test. They
-all read one graph, induced on the ladder cells and then the prism cells,
-and place each cell by its position in its family alone. A family lists
-its diagonal cells first and its shifted cells in the same order, so
-diagonal cell ``j`` sits at walk position ``2j`` and shifted cell ``j`` at
-``2j + 1``. The ladder's rim is walk positions ``0 .. 2km - 1``; prism
-cycle ``c`` is the block of ``2k`` positions from ``2kc``, and cycles
-``2t`` and ``2t + 1`` form prism ``t``.
+guarantee is proved rather than calling a generic isomorphism test. It
+builds no graph: it compares each cell family with its layout. A family
+lists its diagonal cells first and its shifted cells in the same order,
+so in walk order (diagonal 0, shifted 0, diagonal 1, ...) diagonal cell
+``j`` sits at position ``2j`` and shifted cell ``j`` at ``2j + 1``. The
+ladder's rim is walk positions ``0 .. 2km - 1``; prism cycle ``c`` is the
+block of ``2k`` positions from ``2kc``, and cycles ``2t`` and ``2t + 1``
+form prism ``t``. In every cycle, positions ``2j`` and ``2j + 1`` share a
+row and ``2j + 1`` and the next share a column; the symbols pair the rim's
+antipodes and the two cycles of a prism. Each row, column and symbol must
+be shared by exactly the two cells the layout names, which is one slice
+comparison per label and a count of distinct values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .construction import Witness, extract_near_transversal
 from .errors import DuplicateCell, TooLarge
 from .guards import ensure_within
-from .latin import Cell, LatinSquare, cayley_square
+from .latin import Cell, LatinSquare
 
 ROW = "row"
 COLUMN = "column"
@@ -46,11 +51,11 @@ class LabeledGraph:
             masks[v] |= 1 << u
         return masks
 
-    def block(self, start: int, stop: int) -> "LabeledGraph":
-        """The subgraph on ``vertices[start:stop]``, renumbered from 0."""
-        edges = tuple((u - start, v - start, lab) for u, v, lab in self.edges
-                      if start <= u and v < stop)
-        return LabeledGraph(self.vertices[start:stop], edges)
+
+def _refuse_repeats(cells: Sequence[Cell]) -> None:
+    if len(set(cells)) != len(cells):
+        dup = next(c for c in cells if cells.count(c) > 1)
+        raise DuplicateCell(f"cell {dup} appears more than once")
 
 
 def induced_subgraph(square: LatinSquare, cells: Sequence[Cell]) -> LabeledGraph:
@@ -60,9 +65,7 @@ def induced_subgraph(square: LatinSquare, cells: Sequence[Cell]) -> LabeledGraph
     size plus O(|cells|) rather than a blind pairwise scan.
     """
     verts = tuple((int(r), int(c)) for r, c in cells)
-    if len(set(verts)) != len(verts):
-        dup = next(v for v in verts if verts.count(v) > 1)
-        raise DuplicateCell(f"cell {dup} appears more than once")
+    _refuse_repeats(verts)
     index = {v: i for i, v in enumerate(verts)}
     symbol = square.symbol
     buckets: dict[str, dict[int, list[int]]] = {lab: {} for lab in LABELS}
@@ -185,208 +188,88 @@ def max_independent_set(graph: LabeledGraph, *,
 
 
 # ---------------------------------------------------------------------------
-# witness structure reports
+# the witness certificate
 
-@dataclass(frozen=True)
-class WitnessShape:
-    """Expected shape parameters of the induced subgraph."""
-
-    k: int
-    l: int
-    m: int
-    ladder_size: int      # km: the ladder has a rim of length 2km
-    cycle_length: int     # 2k: each prism is built from two cycles this long
-    prism_count: int      # (l - m) / 2
-
-    @classmethod
-    def of(cls, witness: Witness) -> "WitnessShape":
-        dec = witness.dec
-        k, l, m = dec.sylow_order, dec.odd_order, dec.fixed_order
-        return cls(k, l, m, k * m, 2 * k, (l - m) // 2)
+def _walk_keys(cells: Sequence[Cell],
+               mul: Callable[[int, int], int]) -> tuple[list[int], list[int], list[int]]:
+    """The rows, columns and symbols of a family's cells in walk order:
+    diagonal 0, shifted 0, diagonal 1, ... An odd family's last cell, which
+    has no partner, goes last."""
+    half = len(cells) // 2
+    walk = [c for pair in zip(cells[:half], cells[half:]) for c in pair] + list(cells[2 * half:])
+    rows = [r for r, _ in walk]
+    cols = [c for _, c in walk]
+    return rows, cols, list(map(mul, rows, cols))
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    passed: bool
-    overlap: int
-    cross_edges: dict[str, int] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "overlap": self.overlap,
-                "crossEdges": dict(self.cross_edges)}
-
-
-@dataclass(frozen=True)
-class MobiusReport:
-    passed: bool
-    rim_length: int
-    chord_offsets: tuple[int, ...]
-    problems: tuple[str, ...] = ()
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "rimLength": self.rim_length,
-                "chordOffsets": list(self.chord_offsets),
-                "problems": list(self.problems)}
+def _layout_problems(keys, counts, size: int, cycle: int, chords_ok: bool,
+                     chords: str) -> list[str]:
+    """How one family departs from its layout: ``size`` cells in cycles of
+    ``cycle`` walk positions, each row shared by positions ``2j`` and
+    ``2j + 1``, each column by ``2j + 1`` and the next, each symbol by a
+    chord pair, and nothing shared beyond those pairs."""
+    rows, cols, _ = keys
+    if len(rows) != size:
+        return [f"{len(rows)} cells, expected {size}"]
+    problems = []
+    if rows[0::2] != rows[1::2] or any(
+            cols[s + 1:s + cycle:2] != cols[s + 2:s + cycle:2] + cols[s:s + 1]
+            for s in range(0, size, cycle)):
+        problems.append(f"rows and columns do not close cycles of length {cycle}")
+    if not chords_ok:
+        problems.append(f"symbols do not pair {chords}")
+    for lab, count in zip(LABELS, counts):
+        if len(count) != size // 2:
+            problems.append(f"{len(count)} distinct {lab}s, expected {size // 2}")
+    return problems
 
 
-@dataclass(frozen=True)
-class PrismReport:
-    passed: bool
-    cycle_count: int
-    prism_count: int
-    matching_offset: int
-    problems: tuple[str, ...] = ()
+def check_witness(witness: Witness) -> dict:
+    """The ``verify`` report, as ``verify --format json`` prints it.
 
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "cycleCount": self.cycle_count,
-                "prismCount": self.prism_count,
-                "matchingOffset": self.matching_offset,
-                "problems": list(self.problems)}
+    Each family is compared with its layout in walk order (see the module
+    docstring). The ladder is one cycle of ``2km`` walk positions whose
+    symbols pair position ``p`` with ``p + km``; the prism cells are cycles
+    of ``2k``, and cycle ``2t`` holds at position ``p`` the symbol of cycle
+    ``2t + 1`` at ``p + k`` (mod ``2k``). ``claim1.crossEdges`` counts the
+    ladder–prism pairs that share each label. ``chordOffsets`` is ``[km]``
+    when the ladder's symbols pair as they should and empty otherwise.
 
-
-@dataclass(frozen=True)
-class WitnessReport:
-    separation: SeparationReport
-    mobius: MobiusReport
-    prisms: PrismReport
-    size_ok: bool
-    extracted_size: int
-
-    @property
-    def passed(self) -> bool:
-        return (self.separation.passed and self.mobius.passed
-                and self.prisms.passed and self.size_ok)
-
-    def to_json(self) -> dict:
-        return {
-            "claim1": self.separation.to_json(),
-            "mobius": self.mobius.to_json(),
-            "prisms": self.prisms.to_json(),
-            "independentSetSize": self.extracted_size,
-            "passed": self.passed,
-        }
-
-
-def check_separation(graph: LabeledGraph, witness: Witness) -> SeparationReport:
-    """No edge of the witness graph joins a ladder cell to a prism cell.
-
-    Two distinct cells share at most one of row, column and symbol, so
-    each label's count is the number of cross pairs sharing that label.
+    Raises :class:`DuplicateCell` on a repeated cell; the re-extraction
+    raises :class:`StructureViolation` unless its n - 1 cells are
+    independent.
     """
-    split = len(witness.ladder_cells)
-    crossing = [lab for u, v, lab in graph.edges if u < split <= v]
-    cross = {lab: crossing.count(lab) for lab in LABELS}
-    return SeparationReport(not crossing, 0, cross)
+    dec = witness.dec
+    k, l, m = dec.sylow_order, dec.odd_order, dec.fixed_order
+    km = k * m
+    _refuse_repeats(witness.all_cells)
+    mul = dec.group.mul
+    ladder = _walk_keys(witness.ladder_cells, mul)
+    prisms = _walk_keys(witness.prism_cells, mul)
+    ladder_counts = [Counter(keys) for keys in ladder]
+    prism_counts = [Counter(keys) for keys in prisms]
+    cross = {lab: sum(count * theirs[key] for key, count in ours.items())
+             for lab, ours, theirs in zip(LABELS, ladder_counts, prism_counts)}
 
-
-def _walk(family_size: int) -> list[int]:
-    """The walk position of each member of a family listed diagonal cells
-    first: diagonal cell ``j`` sits at ``2j``, shifted cell ``j`` at
-    ``2j + 1``."""
-    return list(range(0, family_size, 2)) + list(range(1, family_size, 2))
-
-
-def check_mobius(graph: LabeledGraph, witness: Witness) -> MobiusReport:
-    """The ladder cells, first in the witness graph, induce a Möbius ladder.
-
-    Certified structurally: one row, one column and one symbol edge per
-    vertex; the row/column edges are exactly the rim cycle of length 2km,
-    joining consecutive walk positions; every symbol edge is an antipodal
-    chord (walk offset km).
-    """
-    km = WitnessShape.of(witness).ladder_size
-    rim = 2 * km
-    graph = graph.block(0, rim)
-    walk = _walk(rim)
-    problems: list[str] = []
-
-    size = len(graph.vertices)
-    degrees = {lab: [0] * size for lab in LABELS}  # degrees[lab][u]
-    rim_edges = sym_count = 0
-    on_rim = True
-    offsets = set()
-    for u, v, lab in graph.edges:
-        tally = degrees[lab]
-        tally[u] += 1
-        tally[v] += 1
-        d = (walk[v] - walk[u]) % rim
-        if lab == SYMBOL:
-            sym_count += 1
-            offsets.add(min(d, rim - d))
-        else:
-            rim_edges += 1
-            on_rim = on_rim and d in (1, rim - 1)
-    ones = [1] * size
-    if any(tally != ones for tally in degrees.values()):
-        u = next(u for u in range(size)
-                 if any(tally[u] != 1 for tally in degrees.values()))
-        degs = {lab: degrees[lab][u] for lab in LABELS}
-        problems.append(f"vertex {graph.vertices[u]} has label degrees {degs}")
-    if not on_rim or rim_edges != rim:
-        problems.append(
-            f"row/column edges do not form the rim cycle "
-            f"({rim_edges} edges vs {rim} expected)"
-        )
-    if sym_count != km:
-        problems.append(f"{sym_count} symbol edges, expected {km}")
-    if offsets and offsets != {km}:
-        problems.append(f"chords at rim offsets {sorted(offsets)}, expected only {km}")
-
-    return MobiusReport(not problems, rim, tuple(sorted(offsets)), tuple(problems))
-
-
-def check_prisms(graph: LabeledGraph, witness: Witness) -> PrismReport:
-    """The prism cells, last in the witness graph, induce (l-m)/2 disjoint
-    prisms.
-
-    Certified structurally: the row/column edges are exactly the 2k-cycles,
-    one per moved element, each joining consecutive walk positions of one
-    block of 2k; the symbol edges form a perfect matching joining position
-    p of cycle 2t to position p + k (mod 2k) of cycle 2t + 1.
-    """
-    shape = WitnessShape.of(witness)
-    k, cycle = shape.k, shape.cycle_length
-    size = len(witness.prism_cells)
-    graph = graph.block(len(witness.ladder_cells), len(graph.vertices))
-    walk = _walk(size)
-    problems: list[str] = []
-
-    cycle_edges = matching = 0
-    cycles_ok = matching_ok = True
-    for u, v, lab in graph.edges:
-        (cu, pu), (cv, pv) = sorted((divmod(walk[u], cycle), divmod(walk[v], cycle)))
-        if lab == SYMBOL:
-            matching += 1
-            matching_ok = (matching_ok and cu % 2 == 0 and cv == cu + 1
-                           and pv == (pu + k) % cycle)
-        else:
-            cycle_edges += 1
-            cycles_ok = cycles_ok and cu == cv and (pv - pu) % cycle in (1, cycle - 1)
-    if not cycles_ok or cycle_edges != size:
-        problems.append(
-            f"row/column edges do not form the expected cycles "
-            f"({cycle_edges} vs {size})"
-        )
-    if not matching_ok or matching != size // 2:
-        problems.append(
-            f"symbol edges do not form the offset-{k} matching "
-            f"({matching} vs {size // 2})"
-        )
-
-    return PrismReport(not problems, size // cycle, shape.prism_count, k,
-                       tuple(problems))
-
-
-def check_witness(witness: Witness) -> WitnessReport:
-    """Every structural check, read off the one witness graph of 2n cells
-    in the group's Cayley square.
-
-    Building the graph raises :class:`DuplicateCell` on a repeated cell;
-    the re-extraction raises :class:`StructureViolation` unless its n - 1
-    cells are independent.
-    """
-    group = witness.dec.group
-    graph = induced_subgraph(cayley_square(group), witness.all_cells)
-    return WitnessReport(check_separation(graph, witness), check_mobius(graph, witness),
-                         check_prisms(graph, witness), len(graph.vertices) == 2 * group.n,
-                         len(extract_near_transversal(witness)))
+    syms, prism_syms = ladder[2], prisms[2]
+    chords_ok = len(syms) == 2 * km and syms[:km] == syms[km:]
+    matched = all(prism_syms[s:s + 2 * k]
+                  == prism_syms[s + 3 * k:s + 4 * k] + prism_syms[s + 2 * k:s + 3 * k]
+                  for s in range(0, len(prism_syms), 4 * k))
+    ladder_problems = _layout_problems(ladder, ladder_counts, 2 * km, 2 * km, chords_ok,
+                                       f"walk positions p and p + {km}")
+    prism_problems = _layout_problems(
+        prisms, prism_counts, 2 * k * (l - m), 2 * k, matched,
+        f"cycle 2t position p with cycle 2t + 1 position p + {k}")
+    report = {
+        "claim1": {"passed": not any(cross.values()), "overlap": 0, "crossEdges": cross},
+        "mobius": {"passed": not ladder_problems, "rimLength": 2 * km,
+                   "chordOffsets": [km] if chords_ok else [], "problems": ladder_problems},
+        "prisms": {"passed": not prism_problems,
+                   "cycleCount": len(witness.prism_cells) // (2 * k),
+                   "prismCount": (l - m) // 2, "matchingOffset": k,
+                   "problems": prism_problems},
+        "independentSetSize": len(extract_near_transversal(witness)),
+    }
+    report["passed"] = all(report[sec]["passed"] for sec in ("claim1", "mobius", "prisms"))
+    return report

@@ -189,7 +189,8 @@ def _latin_rows(raw: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     Each row is one C-level gather from ``pool``, whose keys are exactly the
     ints 0..n-1: a miss is an entry out of range or not an int, and the n^2
     entries share the pool's n int objects. Raises :class:`NotLatin` naming
-    the first short row, bad entry or row that repeats a symbol.
+    the first short row, the first entry out of range or not an int, or the
+    first row that repeats a symbol.
     """
     n = len(raw)
     if n == 0:
@@ -208,13 +209,23 @@ def _latin_rows(raw: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
                     pool[v]
                 except (KeyError, TypeError):
                     shown = repr(v) if isinstance(v, str) else v  # "1" is not 1
-                    raise NotLatin(f"entry table[{g}][{h}] = {shown} outside [0, {n})") from None
+                    fault = f"outside [0, {n})" if _integral(v) else "is not an int"
+                    raise NotLatin(f"entry table[{g}][{h}] = {shown} {fault}") from None
             raise
     if n == 1:
         rows = [tuple(rows)]  # itemgetter of one item returns it bare
     if any(len(set(row)) != n for row in rows):
         raise NotLatin("row %d repeats symbol %d" % _first_repeat(rows))
     return tuple(rows)
+
+
+def _integral(v) -> bool:
+    """Whether ``v`` equals some int, as every entry the pool accepts does:
+    2.0 does, 1.5 and "2" do not."""
+    try:
+        return v == int(v)
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def _check_columns(rows: Sequence[Sequence[int]]) -> None:

@@ -40,7 +40,7 @@ ROLES = ("row", "column", "symbol")
 
 @dataclass(frozen=True, eq=False)
 class LatinSquare:
-    """A latin square of order ``n`` with row, column and symbol labels.
+    """A latin square of order ``n``.
 
     ``symbol(r, c)`` is the symbol in cell (r, c) and ``cells`` holds the
     rows. A Cayley square answers ``symbol`` with its group's product and
@@ -49,9 +49,6 @@ class LatinSquare:
 
     n: int
     symbol: Callable[[int, int], int] = field(repr=False)
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    sym_labels: tuple[str, ...]
     _rows: Callable[[], Sequence[Sequence[int]]] = field(repr=False)
 
     @property
@@ -71,40 +68,25 @@ class Violation:
         return f"cells {self.first} and {self.second} share a {self.kind}"
 
 
-def latin_square(cells: Sequence[Sequence[int]],
-                 row_labels: Sequence[str] | None = None,
-                 col_labels: Sequence[str] | None = None,
-                 sym_labels: Sequence[str] | None = None) -> LatinSquare:
+def latin_square(cells: Sequence[Sequence[int]]) -> LatinSquare:
     """Validate rows/columns as permutations and build a LatinSquare.
 
     The rows and columns are checked as :func:`ntk.groups.group_from_table`
-    checks them, with its messages; labels of the wrong count raise
-    :class:`NotLatin` too.
+    checks them, with its messages.
     """
     rows = _latin_rows(cells)
     _check_columns(rows)
-    n = len(rows)
-
-    def _labels(given):
-        if given is None:
-            return tuple(str(i) for i in range(n))
-        out = tuple(str(x) for x in given)
-        if len(out) != n:
-            raise NotLatin(f"labels: expected {n} labels, got {len(out)}")
-        return out
-
-    return _square(rows, _labels(row_labels), _labels(col_labels), _labels(sym_labels))
+    return _square(rows)
 
 
-def _square(rows: tuple[tuple[int, ...], ...], *labels: tuple[str, ...]) -> LatinSquare:
-    """A square that holds its rows, with row, column and symbol labels."""
-    return LatinSquare(len(rows), lambda r, c: rows[r][c], *labels, lambda: rows)
+def _square(rows: tuple[tuple[int, ...], ...]) -> LatinSquare:
+    """A square that holds its rows."""
+    return LatinSquare(len(rows), lambda r, c: rows[r][c], lambda: rows)
 
 
 def cayley_square(group: Group) -> LatinSquare:
     """The multiplication table of ``group`` viewed as a latin square."""
-    names = group.names
-    return LatinSquare(group.n, group.mul, names, names, names, lambda: group.table)
+    return LatinSquare(group.n, group.mul, lambda: group.table)
 
 
 # ---------------------------------------------------------------------------
@@ -346,17 +328,10 @@ def apply_isotopy(square: LatinSquare,
     sp = _check_perm(sym_perm, n, "symbol permutation")
     rows = square.cells
     cells = [[0] * n for _ in range(n)]
-    row_labels = [""] * n
-    col_labels = [""] * n
-    sym_labels = [""] * n
     for r in range(n):
-        row_labels[rp[r]] = square.row_labels[r]
-        col_labels[cp[r]] = square.col_labels[r]
-        sym_labels[sp[r]] = square.sym_labels[r]
         for c in range(n):
             cells[rp[r]][cp[c]] = sp[rows[r][c]]
-    return _square(tuple(tuple(row) for row in cells),
-                   tuple(row_labels), tuple(col_labels), tuple(sym_labels))
+    return _square(tuple(tuple(row) for row in cells))
 
 
 def map_cells(cells: Iterable[Cell],
@@ -385,8 +360,7 @@ def conjugate_square(square: LatinSquare,
         for c in range(n):
             t = (r, c, rows[r][c])
             cells[t[src[0]]][t[src[1]]] = t[src[2]]
-    labels = (square.row_labels, square.col_labels, square.sym_labels)
-    return latin_square(cells, labels[src[0]], labels[src[1]], labels[src[2]])
+    return latin_square(cells)
 
 
 def conjugate_cells(square: LatinSquare, cells: Iterable[Cell],

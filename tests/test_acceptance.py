@@ -110,10 +110,10 @@ def test_criterion_2_construction_soundness_to_order_200():
             ok, violation = ntk.is_partial_transversal(square, result.cells)
             assert ok, (entry.label, violation)
             report = ntk.check_witness(result.witness)
-            assert report.separation.passed, entry.label
-            assert report.mobius.passed, entry.label
-            assert report.prisms.passed, entry.label
-            assert report.passed, entry.label
+            assert report["claim1"]["passed"], entry.label
+            assert report["mobius"]["passed"], entry.label
+            assert report["prisms"]["passed"], entry.label
+            assert report["passed"], entry.label
 
 
 def test_criterion_3_oracle_equivalence_to_order_9():

@@ -271,6 +271,30 @@ def test_verify_json_unchanged(capsys, spec):
     assert out == json.dumps(VERIFY_JSON[spec], indent=2) + "\n"
 
 
+# the text form of ``verify``, one line per section
+VERIFY_TEXT = {
+    "Z6": ("group: Z6\n"
+           "claim1: pass\n"
+           "mobius: pass (rim 12, chords at [6])\n"
+           "prisms: pass (0 prisms, matching offset 2)\n"
+           "independent set size: 5\n"
+           "overall: pass\n"),
+    "S3 x Z3": ("group: S3 x Z3\n"
+                "claim1: pass\n"
+                "mobius: pass (rim 12, chords at [6])\n"
+                "prisms: pass (3 prisms, matching offset 2)\n"
+                "independent set size: 17\n"
+                "overall: pass\n"),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(VERIFY_TEXT))
+def test_verify_text_unchanged(capsys, spec):
+    code, out, _ = run(capsys, "verify", spec)
+    assert code == 0
+    assert out == VERIFY_TEXT[spec]
+
+
 def test_options_a_subcommand_does_not_read_are_refused(capsys):
     code, out, _ = run(capsys, "analyze", "Z6", "--ordering", "1,c", "--guard-override", "3",
                        "--format", "latex")

@@ -336,7 +336,7 @@ def test_construction_beyond_associativity_threshold():
     result = ntk.near_transversal(group)
     assert len(result.cells) == 519
     assert (result.k, result.l, result.m) == (8, 65, 65)
-    assert ntk.check_witness(result.witness).passed
+    assert ntk.check_witness(result.witness)["passed"]
 
 
 def test_result_json_schema():

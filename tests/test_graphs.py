@@ -9,22 +9,13 @@ from hypothesis import strategies as st
 import ntk
 from ntk.catalog import _s3_times_cyclic, builtin_catalog
 from ntk.errors import DuplicateCell, TooLarge
-from ntk.graphs import COLUMN, ROW, SYMBOL, WitnessShape
+from ntk.graphs import COLUMN, ROW, SYMBOL
 from ntk.groups import CYCLIC_NONTRIVIAL
 from ntk.groupspec import parse_group_spec
 
 
 def witness_for(group):
     return ntk.build_witness(ntk.decompose(group))
-
-
-def witness_graph(group, witness):
-    return ntk.induced_subgraph(ntk.cayley_square(group), witness.all_cells)
-
-
-def graph_and_witness(group):
-    witness = witness_for(group)
-    return witness_graph(group, witness), witness
 
 
 def cyclic_nontrivial_groups(max_order):
@@ -84,37 +75,52 @@ def test_witness_graphs_are_cubic_with_expected_symbol_counts():
     for group in cyclic_nontrivial_groups(40):
         witness = witness_for(group)
         square = ntk.cayley_square(group)
-        shape = WitnessShape.of(witness)
+        dec = witness.dec
+        k, l, m = dec.sylow_order, dec.odd_order, dec.fixed_order
         ladder = ntk.induced_subgraph(square, witness.ladder_cells)
-        assert [e[2] for e in ladder.edges].count(SYMBOL) == shape.ladder_size
+        assert [e[2] for e in ladder.edges].count(SYMBOL) == k * m
         if witness.prism_cells:
             prisms = ntk.induced_subgraph(square, witness.prism_cells)
-            assert [e[2] for e in prisms.edges].count(SYMBOL) == shape.k * (shape.l - shape.m)
+            assert [e[2] for e in prisms.edges].count(SYMBOL) == k * (l - m)
         whole = ntk.induced_subgraph(square, witness.all_cells)
         assert all(m.bit_count() == 3 for m in whole.adjacency_masks())
 
 
 # ---------------------------------------------------------------------------
-# structural checks
+# the witness certificate
+
+SECTIONS = ("claim1", "mobius", "prisms")
+
+
+def failed_sections(report):
+    return {sec for sec in SECTIONS if not report[sec]["passed"]}
+
 
 def test_separation_passes():
     for group in (ntk.cyclic(6), _s3_times_cyclic(3)):
-        report = ntk.check_separation(*graph_and_witness(group))
-        assert report.passed and report.overlap == 0
+        claim1 = ntk.check_witness(witness_for(group))["claim1"]
+        assert claim1["passed"] and claim1["overlap"] == 0
 
 
 def test_separation_detects_moved_row_fault():
     group = _s3_times_cyclic(3)
     witness = witness_for(group)
-    # drag one prism cell into a ladder row
-    c = witness.prism_cells[0][1]
+    # drag the first shifted cell of prism cycle 0, which the extraction
+    # does not use, into a ladder row
+    first = len(witness.prism_cells) // 2
+    c = witness.prism_cells[first][1]
     t_row = witness.ladder_cells[0][0]
     tampered_prisms = list(witness.prism_cells)
-    tampered_prisms[0] = (t_row, c)
+    tampered_prisms[first] = (t_row, c)
     tampered = dataclasses.replace(witness, prism_cells=tuple(tampered_prisms))
-    report = ntk.check_separation(witness_graph(group, tampered), tampered)
-    assert not report.passed
-    assert report.cross_edges[ROW] >= 1
+    report = ntk.check_witness(tampered)
+    # the moved cell also leaves its row pair in cycle 0
+    assert failed_sections(report) == {"claim1", "prisms"}
+    assert not report["passed"]
+    cross = report["claim1"]["crossEdges"]
+    assert cross[ROW] == 2
+    assert cross == _bucket_cross_edges(ntk.cayley_square(group), tampered.ladder_cells,
+                                        tampered.prism_cells)
 
 
 def test_mobius_certificates():
@@ -123,16 +129,16 @@ def test_mobius_certificates():
         6: ntk.cyclic(6),       # rim 12 + 6 antipodal chords
     }
     for km, group in cases.items():
-        report = ntk.check_mobius(*graph_and_witness(group))
-        assert report.passed
-        assert report.rim_length == 2 * km
-        assert report.chord_offsets == (km,)
+        mobius = ntk.check_witness(witness_for(group))["mobius"]
+        assert mobius["passed"]
+        assert mobius["rimLength"] == 2 * km
+        assert mobius["chordOffsets"] == [km]
 
 
 def test_mobius_order18():
     group = _s3_times_cyclic(3)
-    report = ntk.check_mobius(*graph_and_witness(group))
-    assert report.passed and report.rim_length == 12
+    mobius = ntk.check_witness(witness_for(group))["mobius"]
+    assert mobius["passed"] and mobius["rimLength"] == 12
 
 
 def test_mobius_detects_shifted_cell():
@@ -149,23 +155,25 @@ def test_mobius_detects_shifted_cell():
     cells = list(witness.ladder_cells)
     cells[dec.sylow_order * dec.fixed_order + i] = bad_cell  # shifted cell i
     tampered = dataclasses.replace(witness, ladder_cells=tuple(cells))
-    report = ntk.check_mobius(witness_graph(group, tampered), tampered)
-    assert not report.passed
+    report = ntk.check_witness(tampered)
+    assert failed_sections(report) == {"mobius"}
+    assert not report["passed"]
+    assert report["mobius"]["chordOffsets"] == []
 
 
 def test_prism_certificates():
-    z6_report = ntk.check_prisms(*graph_and_witness(ntk.cyclic(6)))
-    assert z6_report.passed and z6_report.prism_count == 0
+    z6_prisms = ntk.check_witness(witness_for(ntk.cyclic(6)))["prisms"]
+    assert z6_prisms["passed"] and z6_prisms["prismCount"] == 0
 
     group = _s3_times_cyclic(3)
-    report = ntk.check_prisms(*graph_and_witness(group))
-    assert report.passed
-    assert report.prism_count == 3 and report.cycle_count == 6
-    assert report.matching_offset == 2
+    prisms = ntk.check_witness(witness_for(group))["prisms"]
+    assert prisms["passed"]
+    assert prisms["prismCount"] == 3 and prisms["cycleCount"] == 6
+    assert prisms["matchingOffset"] == 2
 
     s3 = ntk.symmetric(3)
-    report = ntk.check_prisms(*graph_and_witness(s3))
-    assert report.passed and report.prism_count == 1
+    prisms = ntk.check_witness(witness_for(s3))["prisms"]
+    assert prisms["passed"] and prisms["prismCount"] == 1
 
 
 def test_prisms_detects_swapped_cycles():
@@ -179,20 +187,61 @@ def test_prisms_detects_swapped_cycles():
     first, other = len(cells) // 2, len(cells) // 2 + 2 * k
     cells[first], cells[other] = cells[other], cells[first]
     tampered = dataclasses.replace(witness, prism_cells=tuple(cells))
-    graph = witness_graph(group, tampered)
-    assert ntk.check_separation(graph, tampered).passed
-    assert ntk.check_mobius(graph, tampered).passed
-    report = ntk.check_prisms(graph, tampered)
-    assert not report.passed
-    assert len(report.problems) == 2
-    assert report.problems[0].startswith("row/column edges do not form the expected cycles")
-    assert report.problems[1].startswith(f"symbol edges do not form the offset-{k} matching")
+    report = ntk.check_witness(tampered)
+    assert failed_sections(report) == {"prisms"}
+    assert report["prisms"]["problems"] == [
+        f"rows and columns do not close cycles of length {2 * k}",
+        f"symbols do not pair cycle 2t position p with cycle 2t + 1 position p + {k}",
+    ]
+
+
+# Z6 ladders in walk order, (rows, columns), that depart from the layout in
+# one way each, with the problems the certificate names
+ODD_LADDERS = [
+    # the row pairs, column pairs and chords hold, but pairs 0 and 2 (and 3
+    # and 5) share a row
+    (([0, 0, 1, 1, 0, 0, 3, 3, 4, 4, 3, 3], [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 0]),
+     ["4 distinct rows, expected 6", "4 distinct symbols, expected 6"]),
+    # the column pairs, chords and counts hold, but rows pair other positions
+    (([2, 4, 2, 1, 5, 4, 5, 3, 1, 2, 0, 1], [3, 4, 4, 2, 2, 0, 0, 5, 5, 1, 1, 3]),
+     ["rows and columns do not close cycles of length 12"]),
+    # the row pairs, chords and counts hold, but columns pair other positions
+    (([3, 3, 0, 0, 5, 5, 2, 2, 4, 4, 1, 1], [5, 2, 4, 1, 4, 1, 0, 3, 0, 3, 2, 5]),
+     ["rows and columns do not close cycles of length 12"]),
+]
+
+
+@pytest.mark.parametrize("walk, problems", ODD_LADDERS)
+def test_mobius_names_each_departure_from_the_layout(monkeypatch, walk, problems):
+    # these ladders' extractions would fail, so only the layout comparison runs
+    monkeypatch.setattr("ntk.graphs.extract_near_transversal", lambda witness: ())
+    cells = list(zip(*walk))
+    witness = dataclasses.replace(witness_for(ntk.cyclic(6)),
+                                  ladder_cells=tuple(cells[0::2] + cells[1::2]))
+    report = ntk.check_witness(witness)
+    assert failed_sections(report) == {"mobius"}
+    assert report["mobius"]["chordOffsets"] == [6]
+    assert report["mobius"]["problems"] == problems
+
+
+def test_prisms_count_their_cells(monkeypatch):
+    # drop the last prism: the rest still follows the layout, but a prism is
+    # missing; the extraction would fail, so only the layout comparison runs
+    monkeypatch.setattr("ntk.graphs.extract_near_transversal", lambda witness: ())
+    witness = witness_for(_s3_times_cyclic(3))
+    cells = witness.prism_cells
+    half, prism = len(cells) // 2, 2 * witness.dec.sylow_order
+    fewer = cells[:half - prism] + cells[half:-prism]
+    report = ntk.check_witness(dataclasses.replace(witness, prism_cells=fewer))
+    assert failed_sections(report) == {"prisms"}
+    assert report["prisms"]["problems"] == ["16 cells, expected 24"]
+    assert report["prisms"]["cycleCount"] == 4
 
 
 def test_full_witness_check_catalog():
     for group in cyclic_nontrivial_groups(100):
         report = ntk.check_witness(witness_for(group))
-        assert report.passed, group.label
+        assert report["passed"], group.label
 
 
 def test_witness_families_sharing_a_cell_raise_duplicate_cell():
@@ -207,8 +256,7 @@ def test_witness_families_sharing_a_cell_raise_duplicate_cell():
 
 def _bucket_cross_edges(square, left, right):
     # the per-label count of (left, right) pairs sharing a row, column or
-    # symbol, as the separation check counted them before it read the
-    # witness graph
+    # symbol, counted from the table
     counts = {}
     for lab, key in ((ROW, lambda c: c[0]), (COLUMN, lambda c: c[1]),
                      (SYMBOL, lambda c: square.cells[c[0]][c[1]])):
@@ -233,8 +281,6 @@ def test_one_graph_holds_both_sides_and_their_crossings(data):
         inside = tuple((u - start, v - start, lab) for u, v, lab in graph.edges
                        if start <= u and v < stop)
         assert inside == side.edges
-        block = graph.block(start, stop)
-        assert block.vertices == side.vertices and block.edges == side.edges
     crossing = {lab: 0 for lab in (ROW, COLUMN, SYMBOL)}
     for u, v, lab in graph.edges:
         if u < split <= v:
@@ -244,9 +290,8 @@ def test_one_graph_holds_both_sides_and_their_crossings(data):
 
 def test_witness_report_json_keys():
     group = ntk.cyclic(6)
-    report = ntk.check_witness(witness_for(group))
-    data = report.to_json()
-    assert set(data) == {"claim1", "mobius", "prisms", "independentSetSize", "passed"}
+    data = ntk.check_witness(witness_for(group))
+    assert list(data) == ["claim1", "mobius", "prisms", "independentSetSize", "passed"]
     assert set(data["mobius"]) >= {"rimLength", "chordOffsets"}
     assert set(data["prisms"]) >= {"cycleCount", "matchingOffset"}
     assert data["independentSetSize"] == 5
@@ -376,23 +421,23 @@ def _nx_from_labeled(graph):
 def test_ladder_subgraphs_match_reference_generators():
     for group in (ntk.cyclic(2), ntk.cyclic(4), ntk.symmetric(3), ntk.cyclic(6)):
         witness = witness_for(group)
-        shape = WitnessShape.of(witness)
-        if 2 * shape.ladder_size > 16:
+        km = witness.dec.sylow_order * witness.dec.fixed_order
+        if 2 * km > 16:
             continue
         ladder = _nx_from_labeled(
             ntk.induced_subgraph(ntk.cayley_square(group), witness.ladder_cells))
-        reference = nx.circulant_graph(2 * shape.ladder_size, [1, shape.ladder_size])
+        reference = nx.circulant_graph(2 * km, [1, km])
         assert nx.is_isomorphic(ladder, reference)
 
 
 def test_prism_components_match_reference_generators():
     for group in (ntk.symmetric(3), _s3_times_cyclic(3)):
         witness = witness_for(group)
-        shape = WitnessShape.of(witness)
+        dec = witness.dec
         whole = ntk.induced_subgraph(ntk.cayley_square(group), witness.prism_cells)
         g = _nx_from_labeled(whole)
         components = list(nx.connected_components(g))
-        assert len(components) == shape.prism_count
-        reference = nx.circular_ladder_graph(shape.cycle_length)
+        assert len(components) == (dec.odd_order - dec.fixed_order) // 2
+        reference = nx.circular_ladder_graph(2 * dec.sylow_order)
         for comp in components:
             assert nx.is_isomorphic(g.subgraph(comp), reference)

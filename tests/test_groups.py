@@ -80,8 +80,17 @@ def test_short_row_named():
 
 
 @pytest.mark.parametrize("raw, shown", [([[0, 1.5], [1.5, 0]], "1.5"),
-                                        ([[0, "1"], ["1", 0]], "'1'")])
+                                        ([[0, "1"], ["1", 0]], "'1'"),
+                                        ([[0, None], [None, 0]], "None")])
 def test_entries_that_are_not_ints_are_refused(raw, shown):
+    with pytest.raises(NotLatin, match=rf"^entry table\[0\]\[1\] = {shown} is not an int$"):
+        ntk.group_from_table(raw)
+
+
+@pytest.mark.parametrize("raw, shown", [([[0, 2], [2, 0]], "2"),
+                                        ([[0, -1], [-1, 0]], "-1"),
+                                        ([[0, 2.0], [2.0, 0]], "2.0")])
+def test_entries_out_of_range_are_named(raw, shown):
     with pytest.raises(NotLatin, match=rf"^entry table\[0\]\[1\] = {shown} outside \[0, 2\)$"):
         ntk.group_from_table(raw)
 

@@ -30,13 +30,8 @@ def test_latin_square_rejects_bad_rows():
 
 @pytest.mark.parametrize("cells", [[[0, 1.5], [1.5, 0]], [[0, "1"], ["1", 0]]])
 def test_latin_square_refuses_entries_that_are_not_ints(cells):
-    with pytest.raises(NotLatin, match=r"^entry table\[0\]\[1\] = .* outside \[0, 2\)$"):
+    with pytest.raises(NotLatin, match=r"^entry table\[0\]\[1\] = .* is not an int$"):
         ntk.latin_square(cells)
-
-
-def test_latin_square_labels_of_the_wrong_count():
-    with pytest.raises(NotLatin, match="^labels: expected 2 labels, got 1$"):
-        ntk.latin_square([[0, 1], [1, 0]], col_labels=["a"])
 
 
 # ---------------------------------------------------------------------------
