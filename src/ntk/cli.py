@@ -1,14 +1,19 @@
 """Command-line surface.
 
-Exit codes: 0 verified/ok, 1 usage or parse problem, 2 verification
-failure, 3 search guard exceeded. Everything is deterministic.
+Exit codes: 0 verified/ok, 1 usage or parse problem or stdout closed
+early, 2 verification failure, 3 search guard exceeded. Everything is
+deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _string
 
 from . import construction, graphs, latin, mappings, render
 from .catalog import builtin_catalog
@@ -39,9 +44,46 @@ def _parse_ordering(group: Group, names: list[str]) -> list[int]:
         raise InvalidOrdering(str(exc)) from exc
 
 
+def _int_rows(items: list) -> bool:
+    """Whether ``items`` are lists or tuples of ints, all of one length."""
+    return (set(map(type, items)) <= {list, tuple} and len(set(map(len, items))) == 1
+            and set(map(type, chain.from_iterable(items))) == {int})
+
+
+def _json(obj, pad: str = "") -> str:
+    """``obj`` as JSON, byte for byte as the ``json`` module writes it with an
+    indent of 2 (dict keys must be str).
+
+    Asked for an indent, ``json.dumps`` runs its pure-Python encoder on
+    Python 3.10 and 3.11. Here a run of ints is one join and a list of
+    equal-length int rows (the cell triples) one ``%`` template; strings and
+    other scalars are written by ``json``'s own C encoders.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = (",\n" + inner).join(f"{_string(key)}: {_json(value, inner)}"
+                                    for key, value in obj.items())
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if not isinstance(obj, (list, tuple)):
+        return _string(obj) if type(obj) is str else json.dumps(obj)
+    if not obj:
+        return "[]"
+    sep = ",\n" + inner
+    if set(map(type, obj)) == {int}:
+        body = sep.join(map(int.__repr__, obj))
+    elif _int_rows(obj):
+        row = _json([0] * len(obj[0]), inner).replace("0", "%d")
+        body = sep.join([row] * len(obj)) % tuple(chain.from_iterable(obj))
+    else:
+        body = sep.join([_json(item, inner) for item in obj])
+    return "[\n" + inner + body + "\n" + pad + "]"
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        sys.stdout.write(_json(payload) + "\n")
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -81,7 +123,7 @@ def cmd_construct(spec: str, fmt: str, names: list[str] | None, guard: int | Non
     result = construction.near_transversal(group, ordering=ordering, guard=guard)
     payload = construction.result_json(result, label)
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        _emit(payload, fmt)
     else:
         print(f"group: {label}  branch: {result.branch}  cells: {len(result.cells)}")
         for r, c, s in payload["cells"]:
@@ -105,7 +147,7 @@ def cmd_verify(spec: str, fmt: str, names: list[str] | None) -> int:
     dec = construction.decompose(group, report=report)
     wreport = graphs.check_witness(construction.build_witness(dec, ordering))
     if fmt == "json":
-        print(json.dumps({"group": label, **wreport}, indent=2))
+        _emit({"group": label, **wreport}, fmt)
     else:
         mobius, prisms = wreport["mobius"], wreport["prisms"]
         print(f"group: {label}")
@@ -189,7 +231,7 @@ def cmd_catalog(max_order: int, flt: str, guard: int | None, fmt: str) -> int:
     summary = {"groups": passed + failures + skipped, "passed": passed,
                "failed": failures, "skipped": skipped}
     if fmt == "json":
-        print(json.dumps({"summary": summary, "lines": lines}, indent=2))
+        _emit({"summary": summary, "lines": lines}, fmt)
     else:
         print("\n".join(lines))
         print(f"passed={passed} failed={failures} skipped={skipped}")
@@ -234,10 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)   # built on the first call of main, not at import
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
@@ -247,16 +291,19 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "catalog":
-            return cmd_catalog(args.max_order, args.filter, guard, fmt)
-        if args.command == "analyze":
-            return cmd_analyze(args.spec, fmt)
-        if args.command == "construct":
-            return cmd_construct(args.spec, fmt, ordering, guard)
-        if args.command == "verify":
-            return cmd_verify(args.spec, fmt, ordering)
-        if args.command == "oracle":
-            return cmd_oracle(args.spec, args.which, fmt, guard)
-        return cmd_render(args.spec, fmt, ordering, guard)
+            code = cmd_catalog(args.max_order, args.filter, guard, fmt)
+        elif args.command == "analyze":
+            code = cmd_analyze(args.spec, fmt)
+        elif args.command == "construct":
+            code = cmd_construct(args.spec, fmt, ordering, guard)
+        elif args.command == "verify":
+            code = cmd_verify(args.spec, fmt, ordering)
+        elif args.command == "oracle":
+            code = cmd_oracle(args.spec, args.which, fmt, guard)
+        else:
+            code = cmd_render(args.spec, fmt, ordering, guard)
+        sys.stdout.flush()
+        return code
     except _GUARD_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -265,6 +312,18 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VERIFY
     except NtkError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader of stdout has gone (``ntk ... | head``). What stdout
+        # still buffers would fail again in the interpreter's final flush,
+        # so its descriptor, if it has one, is pointed at os.devnull.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):   # e.g. an io.StringIO
+            return EXIT_USAGE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
         return EXIT_USAGE
 
 

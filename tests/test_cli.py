@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -8,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import ntk
+from ntk import cli, construction, graphs
+from ntk.catalog import builtin_catalog
 from ntk.cli import main
-from ntk.errors import NotAssociative
+from ntk.errors import NotAssociative, OrderTooLarge, TooLarge
 
 
 def run(capsys, *argv):
@@ -393,6 +396,12 @@ def test_ladder_path_holds_no_table_at_the_order_cap(capsys):
     assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def _src_env():
+    src = str(Path(ntk.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 _NO_NUMPY_SCRIPT = """
 import sys
 import ntk.cli
@@ -415,11 +424,169 @@ def test_no_route_imports_numpy(tmp_path):
     calls = ["construct|Z2046|--format|json", "verify|D1023", "analyze|S3 x Z85",
              "oracle|count|Z8", "oracle|completemapping|Dic2", "render|S3",
              f"construct|sd:Z6,Z13,{twisted}", "catalog|--max-order|30"]
-    src = str(Path(ntk.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _NO_NUMPY_SCRIPT, str(loop), *calls],
-                          env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          env=_src_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "(x*a)*y != x*(a*y)" in proc.stderr
+
+
+_PARSER_COUNT_SCRIPT = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+
+
+def counting_init(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+
+
+argparse.ArgumentParser.__init__ = counting_init
+import ntk.cli
+assert not built, f"import ntk.cli built {len(built)} parsers"
+assert ntk.cli.main(["analyze", "Z6"]) == 0
+first = len(built)
+assert first > 0
+assert ntk.cli.main(["oracle", "count", "Z5", "--format", "json"]) == 0
+assert len(built) == first, "the second call built its parser again"
+"""
+
+
+def test_import_builds_no_parser_and_main_builds_it_once():
+    proc = subprocess.run([sys.executable, "-c", _PARSER_COUNT_SCRIPT], env=_src_env(),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+_SEQUENCE_SCRIPT = """
+import contextlib, io, json, sys
+import ntk.cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = ntk.cli.main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+# calls whose options would show up in the next call's output if the
+# reused parser kept them
+_SEQUENCE = [["construct", "Z6", "--ordering", "1,c4,c2", "--format", "json"],
+             ["construct", "Z6"],
+             ["construct", "Z6", "--ordering"],
+             ["oracle", "count", "Z5", "--format", "json"],
+             ["catalog", "--max-order", "12"]]
+
+
+def test_reused_parser_carries_nothing_between_calls():
+    env = _src_env()
+    proc = subprocess.run([sys.executable, "-c", _SEQUENCE_SCRIPT, json.dumps(_SEQUENCE)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    in_one_process = json.loads(proc.stdout)
+    alone = []
+    for argv in _SEQUENCE:
+        one = subprocess.run([sys.executable, "-m", "ntk.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        alone.append([one.returncode, one.stdout])
+    assert [code for code, _ in alone] == [0, 0, 1, 0, 0]
+    assert in_one_process == alone
+
+
+def test_closed_stdout_exits_quietly():
+    # The Z2046 JSON is far larger than a pipe's buffer, so the writer is
+    # still writing when the reader goes. Under PYTHONUNBUFFERED the text
+    # layer would drop the rest of a partial write instead of raising.
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "ntk.cli", "construct", "Z2046",
+                             "--format", "json"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
+def test_closed_stdout_without_a_descriptor(monkeypatch):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["verify", "Z6", "--format", "json"]) == 1
+
+
+_JSON_EDGES = [
+    {}, [], {"a": []}, {"a": {}}, [[]], [[], []], [[[]]],
+    [1, True, 2], [True, False], [[1, 2], [3, True]], [0, -1, 10 ** 30],
+    [None, 1.5, -0.0, 1e300, float("nan"), float("inf"), -float("inf")],
+    ["é", "snow ☃", 'quo"te', "back\\slash", "tab\tnew\nline", "\x00", ""],
+    {"é": 'k"ey', "n": None, "f": 2.5, "b": False},
+    [[-1, 0], [10, -30]], [[1, 2], [3]], [[1, 2], [3, 4, 5]], [[1], [2, 3], []], [[1, 2], (3, 4)], ([1], [2]),
+    [[1, "a"], [2, "b"]], [[[1, 2], [3, 4]], [[5, 6], [7, 8]]], [[1, 2], [3, 4], 5],
+    {"cells": [[0, 1, 1], [1, 2, 3]], "ordering": None, "verified": True},
+]
+
+
+@pytest.mark.parametrize("obj", _JSON_EDGES, ids=range(len(_JSON_EDGES)))
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.fixture
+def emitted(monkeypatch):
+    """The payloads that ``_emit`` prints, in order."""
+    payloads = []
+    real = cli._emit
+
+    def record(payload, fmt):
+        payloads.append(payload)
+        real(payload, fmt)
+
+    monkeypatch.setattr(cli, "_emit", record)
+    return payloads
+
+
+def _assert_printed_as_json_dumps(capsys, emitted, *argv):
+    before = len(emitted)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and len(emitted) == before + 1, argv
+    assert out == json.dumps(emitted[-1], indent=2) + "\n", argv
+
+
+CONSTRUCT_LARGE = ["Z2030", "Z1012", "Z488", "Z992", "D505", "Dic125", "S3 x Z167",
+                   "Z2 x Z251"]
+
+
+def test_json_output_is_json_dumps_on_every_payload(capsys, emitted):
+    ladder = 0
+    for entry in builtin_catalog(200):
+        group = entry.group
+        try:
+            result = construction.near_transversal(group)
+        except (OrderTooLarge, TooLarge):
+            continue
+        payload = construction.result_json(result, entry.label)
+        assert cli._json(payload) == json.dumps(payload, indent=2), entry.label
+        if result.witness is not None:
+            ladder += 1
+            payload = {"group": entry.label, **graphs.check_witness(result.witness)}
+            assert cli._json(payload) == json.dumps(payload, indent=2), entry.label
+    assert ladder == 197
+    for spec in CONSTRUCT_LARGE:
+        _assert_printed_as_json_dumps(capsys, emitted, "construct", spec)
+        _assert_printed_as_json_dumps(capsys, emitted, "verify", spec)
+    _assert_printed_as_json_dumps(capsys, emitted, "catalog", "--max-order", "200")
+    for spec in ("Z6", "Dic2"):
+        _assert_printed_as_json_dumps(capsys, emitted, "analyze", spec)
+    for which in ("transversal", "count", "maxpartial", "completemapping"):
+        for spec in ("Z2", "Z5", "D3"):
+            _assert_printed_as_json_dumps(capsys, emitted, "oracle", which, spec)
