@@ -9,16 +9,13 @@ free twist, large generator order, odd nonabelian groups).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .groups import Group, cyclic, dicyclic, dihedral, direct_product, semidirect, symmetric
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    label: str
-    group: Group
+CatalogEntry = namedtuple("CatalogEntry", "label group")
 
 
 def _power_action(k_order: int, perm: tuple[int, ...]) -> list[tuple[int, ...]]:

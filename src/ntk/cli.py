@@ -81,9 +81,23 @@ def _json(obj, pad: str = "") -> str:
     return "[\n" + inner + body + "\n" + pad + "]"
 
 
+# Linux's PIPE_BUF. A pipe takes a write of at most this many bytes whole or
+# refuses it; a longer one may be cut short when the reader goes, and an
+# unbuffered stdout (PYTHONUNBUFFERED) drops the rest without raising.
+_PIPE_BUF = 4096
+
+
+def _write(text: str) -> None:
+    """Write ``text`` to stdout in pieces of at most ``_PIPE_BUF`` bytes (a
+    character encodes to at most 4), so that a closed pipe always raises."""
+    step = _PIPE_BUF // 4
+    for start in range(0, len(text), step):
+        sys.stdout.write(text[start:start + step])
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(_json(payload) + "\n")
+        _write(_json(payload) + "\n")
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -188,10 +202,7 @@ def cmd_render(spec: str, fmt: str, names: list[str] | None, guard: int | None) 
     ordering = _parse_ordering(group, names) if names else None
     result = construction.near_transversal(group, ordering=ordering, guard=guard)
     model = render.render_model(result)
-    if fmt == "latex":
-        sys.stdout.write(render.latex_table(model))
-    else:
-        sys.stdout.write(render.ascii_table(model))
+    _write(render.latex_table(model) if fmt == "latex" else render.ascii_table(model))
     return EXIT_OK
 
 

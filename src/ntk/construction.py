@@ -28,7 +28,7 @@ fails, so a returned result is always a checked near transversal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .errors import InvalidOrdering, NotApplicable, NotPermutation, StructureViolation
@@ -48,37 +48,24 @@ BRANCH_CONSTRUCTION = "construction"
 BRANCH_COMPLETE_MAPPING = "complete-mapping"
 
 
-@dataclass(frozen=True, eq=False)
-class Decomposition:
-    """The data splitting G over its cyclic Sylow 2-subgroup.
+Decomposition = namedtuple(
+    "Decomposition",
+    "group sylow_gen sylow_order odd_part odd_order twist fixed_part fixed_order "
+    "moved_part orbit_pairs gen_powers")
+Decomposition.__doc__ = """The data splitting G over its cyclic Sylow 2-subgroup.
 
-    ``sylow_gen`` (order ``sylow_order = k``) generates the Sylow
-    2-subgroup; ``odd_part`` is the normal subgroup of all odd-order
-    elements (order ``odd_order = l``); ``involution`` is
-    ``sylow_gen^(k/2)``; ``twist`` is conjugation by the involution;
-    ``fixed_part``/``fixed_order`` are its fixed subgroup inside the odd
-    part and that subgroup's (odd) order ``m``; ``moved_part`` is the rest
-    of the odd part, paired up by the twist into ``orbit_pairs`` with the
-    smaller index listed first; ``gen_powers`` lists ``sylow_gen^i`` for
-    ``i`` in ``[k]``.
-    """
-
-    group: Group
-    sylow_gen: int
-    sylow_order: int
-    involution: int
-    odd_part: frozenset[int]
-    odd_order: int
-    twist: tuple[int, ...]
-    fixed_part: frozenset[int]
-    fixed_order: int
-    moved_part: frozenset[int]
-    orbit_pairs: tuple[tuple[int, int], ...]
-    gen_powers: tuple[int, ...]
+``sylow_gen`` (order ``sylow_order = k``) generates the Sylow 2-subgroup;
+``odd_part`` is the normal subgroup of all odd-order elements (order
+``odd_order = l``); ``twist`` is conjugation by the involution
+``sylow_gen^(k/2)``; ``fixed_part``/``fixed_order`` are its fixed subgroup
+inside the odd part and that subgroup's (odd) order ``m``; ``moved_part``
+is the rest of the odd part, paired up by the twist into ``orbit_pairs``
+with the smaller index listed first; ``gen_powers`` lists ``sylow_gen^i``
+for ``i`` in ``[k]``.
+"""
 
 
-@dataclass(frozen=True, eq=False)
-class Witness:
+class Witness(namedtuple("Witness", "dec ordering ladder_cells prism_cells")):
     """The ``2n`` witness cells, as two flat families in graph order.
 
     Each family lists its diagonal cells, then its shifted cells in the
@@ -98,28 +85,20 @@ class Witness:
     it are taken modulo ``m`` and generator exponents modulo ``k``.
     """
 
-    dec: Decomposition
-    ordering: tuple[int, ...]
-    ladder_cells: tuple[Cell, ...]
-    prism_cells: tuple[Cell, ...]
+    __slots__ = ()
 
     @property
     def all_cells(self) -> tuple[Cell, ...]:
         return self.ladder_cells + self.prism_cells
 
 
-@dataclass(frozen=True, eq=False)
-class ConstructionResult:
-    """A verified near transversal plus the provenance of its branch."""
+ConstructionResult = namedtuple(
+    "ConstructionResult", "group branch cells k l m ordering witness",
+    defaults=(None, None, None))
+ConstructionResult.__doc__ = """A verified near transversal plus the provenance of its branch.
 
-    group: Group
-    branch: str
-    cells: tuple[Cell, ...]
-    k: int
-    l: int
-    m: int | None = None
-    ordering: tuple[int, ...] | None = None
-    witness: Witness | None = None
+``m``, ``ordering`` and ``witness`` are None on the complete-mapping branch.
+"""
 
 
 def decompose(group: Group, *, report: SylowReport | None = None) -> Decomposition:
@@ -171,7 +150,6 @@ def decompose(group: Group, *, report: SylowReport | None = None) -> Decompositi
         group=group,
         sylow_gen=b,
         sylow_order=k,
-        involution=a,
         odd_part=odd_part,
         odd_order=l,
         twist=twist,

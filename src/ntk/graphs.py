@@ -21,8 +21,7 @@ comparison per label and a count of distinct values.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import Callable, Sequence
 
 from .construction import Witness, extract_near_transversal
@@ -36,13 +35,11 @@ SYMBOL = "symbol"
 LABELS = (ROW, COLUMN, SYMBOL)
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledGraph:
+class LabeledGraph(namedtuple("LabeledGraph", "vertices edges")):
     """Cells plus labeled edges; ``edges`` holds (u, v, label) with u < v
     indexing into ``vertices``."""
 
-    vertices: tuple[Cell, ...]
-    edges: tuple[tuple[int, int, str], ...]
+    __slots__ = ()
 
     def adjacency_masks(self) -> list[int]:
         masks = [0] * len(self.vertices)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import gcd
 from operator import itemgetter
 from pathlib import Path
@@ -56,30 +56,34 @@ CYCLIC_NONTRIVIAL = "cyclic-nontrivial"
 NON_CYCLIC = "non-cyclic"
 
 
-@dataclass(frozen=True, eq=False)
 class Group:
     """A finite group given by its product.
 
     ``mul(g, h)`` is the index of the product ``g*h``; ``table[g][h]`` is the
-    same product, read from the full table, which is built on first read.
-    ``names`` holds one whitespace-free display string per element; ``label``
-    is a cosmetic tag (e.g. the CLI group string that produced the group)
-    and never participates in comparisons, which read the order, identity,
-    names and table. ``inverses[g]`` is the inverse of ``g``.
+    same product, read from the full table, which ``build()`` makes on the
+    first read of ``table``. ``names`` holds one whitespace-free display
+    string per element; ``label`` is a cosmetic tag (e.g. the CLI group
+    string that produced the group) and never participates in comparisons,
+    which read the order, identity, names and table. ``inverses[g]`` is the
+    inverse of ``g``. Assigning or deleting an attribute raises
+    :class:`AttributeError`.
     """
 
-    n: int
-    identity: int
-    names: tuple[str, ...]
-    mul: Callable[[int, int], int] = field(repr=False)
-    # Makes the table on the first read of ``table``.
-    _build: Callable[[], tuple[tuple[int, ...], ...]] = field(repr=False)
-    label: str = ""
-    _index_of: dict = field(default_factory=dict, init=False, repr=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("n", "identity", "names", "mul", "label", "_build", "_index_of", "_cache")
 
-    def __post_init__(self):
-        self._index_of.update({name: i for i, name in enumerate(self.names)})
+    def __init__(self, n: int, identity: int, names: tuple[str, ...],
+                 mul: Callable[[int, int], int],
+                 build: Callable[[], tuple[tuple[int, ...], ...]], label: str = ""):
+        fields = {"n": n, "identity": identity, "names": names, "mul": mul, "label": label,
+                  "_build": build, "_index_of": {name: i for i, name in enumerate(names)},
+                  "_cache": {}}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: a Group is immutable")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if not isinstance(other, Group):
@@ -128,19 +132,14 @@ class Group:
             raise KeyError(f"no element named {name!r} in group {self.label or '<unnamed>'}")
 
 
-@dataclass(frozen=True)
-class SylowReport:
-    """Outcome of the Sylow 2-subgroup analysis.
+SylowReport = namedtuple("SylowReport", "k classification generator", defaults=(None,))
+SylowReport.__doc__ = """Outcome of the Sylow 2-subgroup analysis.
 
-    ``k`` is the largest power of 2 dividing the order. ``generator`` is the
-    smallest-index element of order ``k`` and is present exactly when the
-    classification is cyclic-nontrivial; no subgroup is reported, since
-    nothing reads one.
-    """
-
-    k: int
-    classification: str
-    generator: int | None = None
+``k`` is the largest power of 2 dividing the order. ``generator`` is the
+smallest-index element of order ``k`` and is present exactly when the
+classification is cyclic-nontrivial; no subgroup is reported, since
+nothing reads one.
+"""
 
 
 def _generate(mul: Callable[[int, int], int], identity: int,
@@ -332,7 +331,7 @@ def _group(n: int, identity: int, names: Sequence[str] | None, label: str, *,
         build = functools.partial(_build_table, n, identity, mul)
     else:
         mul, build = (lambda g, h: table[g][h]), (lambda: table)
-    return Group(n=n, identity=identity, names=names, mul=mul, label=label, _build=build)
+    return Group(n, identity, names, mul, build, label)
 
 
 # ---------------------------------------------------------------------------

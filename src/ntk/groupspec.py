@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
+from math import factorial
 from pathlib import Path
 
 from .errors import InvalidAction, ParseError
@@ -31,19 +32,13 @@ MAX_SPEC_ORDER = 2048
 
 _ATOM = re.compile(r"^(dic|z|d|s)(\d+)$", re.IGNORECASE)
 
+# atom kind -> (label prefix, constructor, order of the group it builds)
 _BUILDERS = {
-    "z": (cyclic, lambda n: n),
-    "d": (dihedral, lambda n: 2 * n),
-    "dic": (dicyclic, lambda n: 4 * n),
-    "s": (symmetric, lambda n: _factorial(n)),
+    "z": ("Z", cyclic, lambda n: n),
+    "d": ("D", dihedral, lambda n: 2 * n),
+    "dic": ("Dic", dicyclic, lambda n: 4 * n),
+    "s": ("S", symmetric, factorial),
 }
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _parse_atom(token: str, position: int) -> tuple[Group, str]:
@@ -54,14 +49,13 @@ def _parse_atom(token: str, position: int) -> tuple[Group, str]:
     n = int(match.group(2))
     if n < 1:
         raise ParseError(f"group parameter must be positive in {token.strip()!r}", position)
-    builder, order_of = _BUILDERS[kind]
+    prefix, builder, order_of = _BUILDERS[kind]
     order = order_of(n)
     if order > MAX_SPEC_ORDER:
         raise ParseError(
             f"{token.strip()!r} has order {order}, beyond the supported {MAX_SPEC_ORDER}",
             position,
         )
-    prefix = {"z": "Z", "d": "D", "dic": "Dic", "s": "S"}[kind]
     return builder(n), f"{prefix}{n}"
 
 

@@ -23,11 +23,11 @@ isotope of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import reduce
 from operator import and_, or_
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidInput, NotLatin, NotPermutation
 from .guards import ensure_within
@@ -38,31 +38,27 @@ Cell = tuple[int, int]
 ROLES = ("row", "column", "symbol")
 
 
-@dataclass(frozen=True, eq=False)
-class LatinSquare:
+class LatinSquare(namedtuple("LatinSquare", "n symbol read_cells")):
     """A latin square of order ``n``.
 
     ``symbol(r, c)`` is the symbol in cell (r, c) and ``cells`` holds the
-    rows. A Cayley square answers ``symbol`` with its group's product and
-    reads ``cells`` from the group's table, which is built only then.
+    rows, which ``read_cells()`` returns. A Cayley square answers
+    ``symbol`` with its group's product and reads ``cells`` from the group's
+    table, which is built only then.
     """
 
-    n: int
-    symbol: Callable[[int, int], int] = field(repr=False)
-    _rows: Callable[[], Sequence[Sequence[int]]] = field(repr=False)
+    __slots__ = ()
 
     @property
     def cells(self) -> Sequence[Sequence[int]]:
-        return self._rows()
+        return self.read_cells()
 
 
-@dataclass(frozen=True)
-class Violation:
-    """First at-most-once failure in a cell collection."""
+class Violation(namedtuple("Violation", "kind first second")):
+    """First at-most-once failure in a cell collection: two cells that
+    share a ``kind``, one of ROLES."""
 
-    kind: str  # one of ROLES
-    first: Cell
-    second: Cell
+    __slots__ = ()
 
     def __str__(self):
         return f"cells {self.first} and {self.second} share a {self.kind}"

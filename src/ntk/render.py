@@ -12,20 +12,13 @@ styles stay user-definable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .construction import ConstructionResult, display_orders
 
 
-@dataclass(frozen=True, eq=False)
-class RenderModel:
-    """Grid of symbol names plus the marked display coordinates."""
-
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
-    grid: tuple[tuple[str, ...], ...]
-    ladder_marks: frozenset[tuple[int, int]]
-    prism_marks: frozenset[tuple[int, int]]
+RenderModel = namedtuple("RenderModel", "row_labels col_labels grid ladder_marks prism_marks")
+RenderModel.__doc__ = "Grid of symbol names plus the marked display coordinates."
 
 
 def render_model(result: ConstructionResult) -> RenderModel:

@@ -460,6 +460,16 @@ def test_import_builds_no_parser_and_main_builds_it_once():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # pytest has loaded both already, so the import is made in a fresh process
+    script = ("import sys, ntk.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 _SEQUENCE_SCRIPT = """
 import contextlib, io, json, sys
 import ntk.cli
@@ -498,21 +508,24 @@ def test_reused_parser_carries_nothing_between_calls():
 
 def test_closed_stdout_exits_quietly():
     # The Z2046 JSON is far larger than a pipe's buffer, so the writer is
-    # still writing when the reader goes. Under PYTHONUNBUFFERED the text
-    # layer would drop the rest of a partial write instead of raising.
-    env = _src_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    proc = subprocess.Popen([sys.executable, "-m", "ntk.cli", "construct", "Z2046",
-                             "--format", "json"], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    try:
-        assert proc.stdout.readline() == b"{\n"
-        proc.stdout.close()
-        assert proc.wait(timeout=60) == 1
-        assert proc.stderr.read() == b""
-    finally:
-        proc.kill()
-        proc.stderr.close()
+    # still writing when the reader goes. Unbuffered, a write cut short
+    # would lose its rest without raising if it were longer than PIPE_BUF.
+    for unbuffered in (None, "1"):
+        env = _src_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        proc = subprocess.Popen([sys.executable, "-m", "ntk.cli", "construct", "Z2046",
+                                 "--format", "json"], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1, f"PYTHONUNBUFFERED={unbuffered}"
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()
 
 
 def test_closed_stdout_without_a_descriptor(monkeypatch):

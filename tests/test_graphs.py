@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import networkx as nx
@@ -112,7 +111,7 @@ def test_separation_detects_moved_row_fault():
     t_row = witness.ladder_cells[0][0]
     tampered_prisms = list(witness.prism_cells)
     tampered_prisms[first] = (t_row, c)
-    tampered = dataclasses.replace(witness, prism_cells=tuple(tampered_prisms))
+    tampered = witness._replace(prism_cells=tuple(tampered_prisms))
     report = ntk.check_witness(tampered)
     # the moved cell also leaves its row pair in cycle 0
     assert failed_sections(report) == {"claim1", "prisms"}
@@ -154,7 +153,7 @@ def test_mobius_detects_shifted_cell():
     bad_cell = (row, g.mul(h_wrong, powers[(i + 1) % dec.sylow_order]))
     cells = list(witness.ladder_cells)
     cells[dec.sylow_order * dec.fixed_order + i] = bad_cell  # shifted cell i
-    tampered = dataclasses.replace(witness, ladder_cells=tuple(cells))
+    tampered = witness._replace(ladder_cells=tuple(cells))
     report = ntk.check_witness(tampered)
     assert failed_sections(report) == {"mobius"}
     assert not report["passed"]
@@ -186,7 +185,7 @@ def test_prisms_detects_swapped_cycles():
     cells = list(witness.prism_cells)
     first, other = len(cells) // 2, len(cells) // 2 + 2 * k
     cells[first], cells[other] = cells[other], cells[first]
-    tampered = dataclasses.replace(witness, prism_cells=tuple(cells))
+    tampered = witness._replace(prism_cells=tuple(cells))
     report = ntk.check_witness(tampered)
     assert failed_sections(report) == {"prisms"}
     assert report["prisms"]["problems"] == [
@@ -216,8 +215,8 @@ def test_mobius_names_each_departure_from_the_layout(monkeypatch, walk, problems
     # these ladders' extractions would fail, so only the layout comparison runs
     monkeypatch.setattr("ntk.graphs.extract_near_transversal", lambda witness: ())
     cells = list(zip(*walk))
-    witness = dataclasses.replace(witness_for(ntk.cyclic(6)),
-                                  ladder_cells=tuple(cells[0::2] + cells[1::2]))
+    witness = witness_for(ntk.cyclic(6))._replace(
+        ladder_cells=tuple(cells[0::2] + cells[1::2]))
     report = ntk.check_witness(witness)
     assert failed_sections(report) == {"mobius"}
     assert report["mobius"]["chordOffsets"] == [6]
@@ -232,7 +231,7 @@ def test_prisms_count_their_cells(monkeypatch):
     cells = witness.prism_cells
     half, prism = len(cells) // 2, 2 * witness.dec.sylow_order
     fewer = cells[:half - prism] + cells[half:-prism]
-    report = ntk.check_witness(dataclasses.replace(witness, prism_cells=fewer))
+    report = ntk.check_witness(witness._replace(prism_cells=fewer))
     assert failed_sections(report) == {"prisms"}
     assert report["prisms"]["problems"] == ["16 cells, expected 24"]
     assert report["prisms"]["cycleCount"] == 4
@@ -249,7 +248,7 @@ def test_witness_families_sharing_a_cell_raise_duplicate_cell():
     witness = witness_for(group)
     shared = list(witness.prism_cells)
     shared[0] = witness.ladder_cells[0]
-    tampered = dataclasses.replace(witness, prism_cells=tuple(shared))
+    tampered = witness._replace(prism_cells=tuple(shared))
     with pytest.raises(DuplicateCell):
         ntk.check_witness(tampered)
 

@@ -396,6 +396,21 @@ def test_element_orders_shared_across_threads():
         sys.setswitchinterval(old)
 
 
+def test_groups_and_records_refuse_assignment():
+    # values are shared across threads, so none of them may be changed
+    group = ntk.cyclic(6)
+    result = ntk.near_transversal(group)
+    values = [(group, "n"), (ntk.sylow2(group), "k"), (result.witness.dec, "group"),
+              (result.witness, "dec"), (result, "cells"), (ntk.cayley_square(group), "n")]
+    for value, field in values:
+        for name in (field, "unknown"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert group.n == 6 and result.witness.dec.group is group
+
+
 def test_lagrange_over_catalog():
     for entry in small_catalog():
         g = entry.group
