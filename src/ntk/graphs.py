@@ -110,16 +110,15 @@ def max_independent_set(graph: LabeledGraph, *,
             mask ^= low
 
     def component(mask: int) -> int:
-        start = mask & -mask
-        comp = start
-        frontier = start
+        comp = frontier = mask & -mask
         while frontier:
             grow = 0
-            for v in bits(frontier):
-                grow |= adj[v] & mask
-            grow &= ~comp
-            comp |= grow
-            frontier = grow
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & mask & ~comp
+            comp |= frontier
         return comp
 
     def solve_sparse(mask: int) -> tuple[int, int]:
@@ -165,8 +164,10 @@ def max_independent_set(graph: LabeledGraph, *,
             s2, c2 = solve(mask ^ comp)
             best = s1 + s2, c1 | c2
         else:
-            pick, pick_deg = -1, -1
-            for v in bits(mask):
+            pick, pick_deg, todo = -1, -1, mask
+            while todo:
+                v = (todo & -todo).bit_length() - 1
+                todo ^= 1 << v
                 d = (adj[v] & mask).bit_count()
                 if d > pick_deg:
                     pick, pick_deg = v, d

@@ -377,8 +377,10 @@ def test_mis_matches_networkx_on_drawn_subgraphs(data):
     assert not any(u in chosen_idx and v in chosen_idx for u, v, _ in graph.edges)
 
 
-# (size, witness) of max_independent_set on each ladder witness graph, as the
-# solver gave them before it kept a memo of solved vertex sets
+# (size, witness) of max_independent_set on each ladder witness graph: to Z20
+# and Dic3 as the solver gave them before it kept a memo of solved vertex
+# sets, the rest (the largest graphs of the benchmark) as the memo solver
+# gave them before its bit loops were inlined
 LADDER_MIS = {
     "Z6": (5, ((0, 0), (5, 5), (4, 4), (3, 2), (2, 1))),
     "Z8": (7, ((0, 0), (1, 1), (2, 2), (7, 7), (3, 4), (4, 5), (5, 6))),
@@ -397,6 +399,34 @@ LADDER_MIS = {
                  (15, 4), (4, 13), (13, 2))),
     "Dic3": (11, ((0, 0), (10, 8), (1, 1), (9, 9), (2, 2), (11, 7), (8, 3), (3, 11), (7, 4),
                   (4, 6), (6, 5))),
+    "Z22": (21, ((0, 0), (13, 13), (4, 4), (17, 17), (8, 8), (21, 21), (12, 12), (3, 3),
+             (16, 16), (7, 7), (20, 20), (11, 2), (2, 15), (15, 6), (6, 19), (19, 10), (10, 1),
+             (1, 14), (14, 5), (5, 18), (18, 9))),
+    "Z24": (23, ((0, 0), (11, 11), (22, 22), (9, 9), (20, 20), (7, 7), (18, 18), (5, 5),
+             (16, 16), (3, 3), (14, 14), (13, 13), (1, 12), (12, 23), (23, 10), (10, 21),
+             (21, 8), (8, 19), (19, 6), (6, 17), (17, 4), (4, 15), (15, 2))),
+    "Z26": (25, ((0, 0), (15, 15), (4, 4), (19, 19), (8, 8), (23, 23), (12, 12), (1, 1),
+             (16, 16), (5, 5), (20, 20), (9, 9), (24, 24), (13, 2), (2, 17), (17, 6), (6, 21),
+             (21, 10), (10, 25), (25, 14), (14, 3), (3, 18), (18, 7), (7, 22), (22, 11))),
+    "Z28": (27, ((0, 0), (11, 11), (22, 22), (5, 5), (16, 16), (27, 27), (10, 10), (21, 21),
+             (4, 4), (15, 15), (26, 26), (9, 9), (20, 20), (17, 17), (3, 14), (14, 25),
+             (25, 8), (8, 19), (19, 2), (2, 13), (13, 24), (24, 7), (7, 18), (18, 1), (1, 12),
+             (12, 23), (23, 6))),
+    "Z30": (29, ((0, 0), (17, 17), (4, 4), (21, 21), (8, 8), (25, 25), (12, 12), (29, 29),
+             (16, 16), (3, 3), (20, 20), (7, 7), (24, 24), (11, 11), (28, 28), (15, 2),
+             (2, 19), (19, 6), (6, 23), (23, 10), (10, 27), (27, 14), (14, 1), (1, 18),
+             (18, 5), (5, 22), (22, 9), (9, 26), (26, 13))),
+    "Dic5": (19, ((0, 0), (18, 12), (9, 9), (19, 11), (8, 8), (10, 10), (7, 7), (11, 19),
+              (6, 6), (17, 13), (12, 5), (5, 17), (13, 4), (4, 16), (14, 3), (3, 15), (15, 2),
+              (2, 14), (16, 1))),
+    "Dic7": (27, ((0, 0), (26, 16), (11, 11), (15, 27), (8, 8), (18, 24), (5, 5), (21, 21),
+              (2, 2), (24, 18), (13, 13), (27, 15), (10, 10), (23, 19), (16, 7), (7, 23),
+              (19, 4), (4, 20), (22, 1), (1, 17), (25, 12), (12, 14), (14, 9), (9, 25),
+              (17, 6), (6, 22), (20, 3))),
+    "S3 x Z5": (29, ((0, 0), (6, 6), (2, 2), (8, 8), (4, 4), (5, 1), (1, 7), (7, 3), (3, 9),
+                 (15, 15), (25, 10), (16, 16), (26, 11), (17, 17), (27, 12), (18, 18),
+                 (28, 13), (19, 19), (29, 14), (20, 25), (10, 20), (21, 26), (11, 21),
+                 (22, 27), (12, 22), (23, 28), (13, 23), (24, 29), (14, 24))),
 }
 
 
