@@ -10,7 +10,7 @@ free twist, large generator order, odd nonabelian groups).
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .groups import Group, cyclic, dicyclic, dihedral, direct_product, semidirect, symmetric
 
@@ -75,6 +75,22 @@ def _cyclic_twist(k_order: int, h_order: int, factor: int, label: str) -> Group:
                       label=label)
 
 
+# label -> (order, builder) of each catalog group that no spec of the grammar
+# names; parse_group_spec reads each of these labels as a whole spec
+NAMED_GROUPS = {
+    "A4": (12, _alternating4),
+    "Dih(Z3xZ3)": (18, _gen_dihedral_3x3),
+    "F20": (20, partial(_cyclic_twist, 4, 5, 2, "F20")),
+    "Z7:Z3": (21, partial(_cyclic_twist, 3, 7, 2, "Z7:Z3")),
+    "Z8:Z3": (24, partial(_cyclic_twist, 8, 3, 2, "Z8:Z3")),
+    "He3": (27, _heisenberg3),
+    "Z4:Z7": (28, partial(_cyclic_twist, 4, 7, 6, "Z4:Z7")),
+    "Z4:Z9": (36, partial(_cyclic_twist, 4, 9, 8, "Z4:Z9")),
+    "Z16:Z3": (48, partial(_cyclic_twist, 16, 3, 2, "Z16:Z3")),
+    "Z8:Z17": (136, partial(_cyclic_twist, 8, 17, 2, "Z8:Z17")),
+}
+
+
 @lru_cache(maxsize=8)
 def builtin_catalog(max_order: int = 200) -> tuple[CatalogEntry, ...]:
     entries: list[CatalogEntry] = []
@@ -110,16 +126,8 @@ def builtin_catalog(max_order: int = 200) -> tuple[CatalogEntry, ...]:
         add(f"S3xZ{q}", 6 * q, lambda q=q: _s3_times_cyclic(q))
         q += 2
 
-    add("A4", 12, _alternating4)
-    add("Dih(Z3xZ3)", 18, _gen_dihedral_3x3)
-    add("F20", 20, lambda: _cyclic_twist(4, 5, 2, "F20"))
-    add("Z7:Z3", 21, lambda: _cyclic_twist(3, 7, 2, "Z7:Z3"))
-    add("Z8:Z3", 24, lambda: _cyclic_twist(8, 3, 2, "Z8:Z3"))
-    add("He3", 27, _heisenberg3)
-    add("Z4:Z7", 28, lambda: _cyclic_twist(4, 7, 6, "Z4:Z7"))
-    add("Z4:Z9", 36, lambda: _cyclic_twist(4, 9, 8, "Z4:Z9"))
-    add("Z16:Z3", 48, lambda: _cyclic_twist(16, 3, 2, "Z16:Z3"))
-    add("Z8:Z17", 136, lambda: _cyclic_twist(8, 17, 2, "Z8:Z17"))
+    for label, (order, build) in NAMED_GROUPS.items():
+        add(label, order, build)
 
     entries.sort(key=lambda e: (e.group.n, e.label))
     return tuple(entries)

@@ -1,16 +1,25 @@
 """Command-line surface.
 
-Exit codes: 0 verified/ok, 1 usage or parse problem or stdout closed
-early, 2 verification failure, 3 search guard exceeded. Everything is
-deterministic.
+``COMMANDS`` is the one table of the six commands, their positionals and
+the options each reads. ``parse_args`` reads an argv by it with argparse's
+rules: ``--opt value`` or ``--opt=value``, a long option shortened to a
+unique prefix, options before, between or after the positionals, the last
+of a repeated option counting, and ``--`` ending the options. Help
+(``-h``/``--help``) is built from the same table; a usage error writes a
+``usage:`` line and ``ntk <command>: error: ...`` to stderr. argparse itself
+is not imported: each ``ntk`` call is a fresh process, which would pay for
+importing it and building a parser per command.
+
+Exit codes: 0 verified/ok or help, 1 usage or parse problem or stdout
+closed early, 2 verification failure, 3 search guard exceeded. Everything
+is deterministic.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
@@ -209,6 +218,8 @@ def cmd_render(spec: str, fmt: str, names: list[str] | None, guard: int | None) 
 def cmd_catalog(max_order: int, flt: str, guard: int | None, fmt: str) -> int:
     if max_order > MAX_SPEC_ORDER:
         raise InvalidInput(f"--max-order {max_order} beyond the supported {MAX_SPEC_ORDER}")
+    if max_order < 1:
+        raise InvalidInput(f"--max-order {max_order} is below 1")
     entries = builtin_catalog(max_order)
     lines = []
     failures = 0
@@ -249,70 +260,227 @@ def cmd_catalog(max_order: int, flt: str, guard: int | None, fmt: str) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ntk",
-        description="Near transversals of group-based latin squares: "
-                    "construct, verify, render, and cross-check with oracles.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_FORMAT = ("format", str, ("text", "json"), "text", "output format")
+_ORDERING = ("ordering", str, None, None,
+             "comma-separated element names overriding the harmonious ordering")
+_GUARD = ("guard", int, None, None, "raise/lower the search guards for this invocation")
+_SPEC = ("spec", None, "group spec, e.g. 'Z6', 'S3 x Z3', 'Dic3', 'table:path'")
 
-    def command(name, help, *, spec=True, which=None, ordering=False, guard=True,
-                formats=("text", "json")):
-        p = sub.add_parser(name, help=help)
-        if which:
-            p.add_argument("which", choices=which)
-        if spec:
-            p.add_argument("spec", help="group spec, e.g. 'Z6', 'S3 x Z3', 'Dic3', 'table:path'")
-        p.add_argument("--format", default=formats[0], choices=formats)
-        if ordering:
-            p.add_argument("--ordering", default=None,
-                           help="comma-separated element names overriding the harmonious ordering")
-        if guard:
-            p.add_argument("--guard-override", default=None, type=int, dest="guard",
-                           help="raise/lower the search guards for this invocation")
-        return p
-
-    command("analyze", "order, Sylow-2 class, decomposition parameters", guard=False)
-    command("construct", "emit a verified near transversal", ordering=True)
-    command("verify", "run the structural witness checks", ordering=True, guard=False)
-    command("oracle", "exhaustive baselines for cross-checking",
-            which=["transversal", "count", "maxpartial", "completemapping"])
-    command("render", "print the table with witness cells marked", ordering=True,
-            formats=("ascii", "latex"))
-    cat = command("catalog", "run construct+verify across the built-in catalog", spec=False)
-    cat.add_argument("--max-order", type=int, default=20)
-    cat.add_argument("--filter", default="all",
-                     choices=["all", "odd", "even", "construction"])
-    return parser
+# command -> (help, positionals as (name, choices, help), options as
+# {flag: (dest, converter, choices, default, help)})
+COMMANDS = {
+    "analyze": ("order, Sylow-2 class, decomposition parameters", (_SPEC,),
+                {"--format": _FORMAT}),
+    "construct": ("emit a verified near transversal", (_SPEC,),
+                  {"--format": _FORMAT, "--ordering": _ORDERING, "--guard-override": _GUARD}),
+    "verify": ("run the structural witness checks", (_SPEC,),
+               {"--format": _FORMAT, "--ordering": _ORDERING}),
+    "oracle": ("exhaustive baselines for cross-checking",
+               (("which", ("transversal", "count", "maxpartial", "completemapping"),
+                 "the exhaustive search to run"), _SPEC),
+               {"--format": _FORMAT, "--guard-override": _GUARD}),
+    "render": ("print the table with witness cells marked", (_SPEC,),
+               {"--format": ("format", str, ("ascii", "latex"), "ascii", "output format"),
+                "--ordering": _ORDERING, "--guard-override": _GUARD}),
+    "catalog": ("run construct+verify across the built-in catalog", (),
+                {"--format": _FORMAT, "--guard-override": _GUARD,
+                 "--max-order": ("max_order", int, None, 20, "largest group order to run"),
+                 "--filter": ("filter", str, ("all", "odd", "even", "construction"), "all",
+                              "which groups to run")}),
+}
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")   # read as a positional, as argparse does
 
 
-_parser = functools.cache(build_parser)   # built on the first call of main, not at import
+def _metavar(name: str, choices) -> str:
+    return "{" + ",".join(choices) + "}" if choices else name
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"ntk [-h] {_metavar('command', COMMANDS)} ..."
+    _, positionals, options = COMMANDS[command]
+    return " ".join([f"ntk {command} [-h]"]
+                    + [f"[{flag} {_metavar(dest.upper(), choices)}]"
+                       for flag, (dest, _, choices, _, _) in options.items()]
+                    + [_metavar(name, choices) for name, choices, _ in positionals])
+
+
+def _help(command: str | None) -> str:
+    options = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        description = ("Near transversals of group-based latin squares: "
+                       "construct, verify, render, and cross-check with oracles.")
+        sections = {"commands": [(name, entry[0]) for name, entry in COMMANDS.items()]}
+    else:
+        description, positionals, flags = COMMANDS[command]
+        sections = {"positional arguments": [(_metavar(name, choices), text)
+                                             for name, choices, text in positionals]}
+        options += [(f"{flag} {_metavar(dest.upper(), choices)}", text)
+                    for flag, (dest, _, choices, _, text) in flags.items()]
+    sections["options"] = options
+    width = max(len(left) for rows in sections.values() for left, _ in rows) + 2
+    lines = [f"usage: {_usage(command)}", "", description]
+    for title, rows in sections.items():
+        if rows:
+            lines += ["", f"{title}:"] + [f"  {left:<{width}}{text}" for left, text in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _refuse(command: str | None, message: str):
+    prog = f"ntk {command}" if command else "ntk"
+    sys.stderr.write(f"usage: {_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _show_help(command: str | None, flag: str, explicit: str | None):
+    """-h/--help: print help and exit 0. A value attached to it is refused,
+    except more h's after a single dash (``-hh``)."""
+    if explicit is None or (flag == "-h" and explicit and not explicit.strip("h")):
+        sys.stdout.write(_help(command))
+        raise SystemExit(EXIT_OK)
+    _refuse(command, f"argument -h/--help: ignored explicit argument {explicit!r}")
+
+
+def _classify(command: str | None, arg: str, flags) -> tuple | None:
+    """How argparse read ``arg`` ahead of any ``--``: None for a positional,
+    else (the flag it names or None for an unknown option, its attached value
+    or None). A long option may be shortened to any unique prefix."""
+    if not arg.startswith("-") or arg == "-":
+        return None
+    if arg in flags:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in flags:
+        return name, value
+    if arg[1] == "-":
+        matches = [flag for flag in flags if flag.startswith(name)]
+        if len(matches) > 1:
+            _refuse(command, f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    elif arg[:2] == "-h":
+        return "-h", arg[2:]
+    return None if _NEGATIVE.match(arg) or " " in arg else (None, None)
+
+
+def _parse_command(command: str, args: list[str]) -> dict:
+    """The fields of ``command`` read from the arguments after it. Each
+    positional takes one argument; a ``--`` next to it is dropped."""
+    _, positionals, options = COMMANDS[command]
+    flags = dict.fromkeys(_HELP) | options
+    found = {}
+    kinds = ""
+    for i, arg in enumerate(args):
+        if arg == "--":       # everything after it is positional
+            kinds += "-" + "A" * (len(args) - i - 1)
+            break
+        hit = _classify(command, arg, flags)
+        if hit is not None:
+            found[i] = hit
+        kinds += "A" if hit is None else "O"
+    parsed = {"command": command, **{dest: default for dest, _, _, default, _ in options.values()}}
+    waiting = list(positionals)
+    extras = []
+
+    def take_positionals(start: int) -> int:
+        for count in range(len(waiting), 0, -1):
+            match = re.match("(-*A-*)" * count, kinds[start:])
+            if match:
+                for (name, choices, _), taken in zip(waiting, match.groups()):
+                    value = args[start + taken.index("A")]
+                    if choices and value not in choices:
+                        _refuse(command, f"argument {name}: invalid choice: {value!r}")
+                    parsed[name] = value
+                    start += len(taken)
+                del waiting[:count]
+                break
+        return start
+
+    def take_option(i: int) -> int:
+        flag, explicit = found[i]
+        if flag is None:
+            extras.append(args[i])
+            return i + 1
+        if flag in _HELP:
+            _show_help(command, flag, explicit)
+        dest, convert, choices, _, _ = options[flag]
+        end = i + 1
+        if explicit is None:
+            if kinds[end:end + 1] != "A":
+                _refuse(command, f"argument {flag}: expected one argument")
+            explicit, end = args[end], end + 1
+        try:
+            value = convert(explicit)
+        except ValueError:
+            _refuse(command, f"argument {flag}: invalid int value: {explicit!r}")
+        if choices and value not in choices:
+            _refuse(command, f"argument {flag}: invalid choice: {value!r}")
+        parsed[dest] = value
+        return end
+
+    start = 0
+    for i in found:
+        if start < i:
+            start = take_positionals(start)
+            extras += args[start:i]
+        start = take_option(i)
+    start = take_positionals(start)
+    extras += args[start:]
+    if waiting:
+        _refuse(command, "the following arguments are required: "
+                + ", ".join(name for name, _, _ in waiting))
+    if extras:
+        _refuse(command, f"unrecognized arguments: {' '.join(extras)}")
+    return parsed
+
+
+def parse_args(argv: list[str]) -> dict:
+    """The command and the values of its arguments, read from ``argv`` by the
+    rules of :data:`COMMANDS`. Help exits 0 and a usage error exits 1, both
+    through :class:`SystemExit`, after writing to stdout or stderr."""
+    unknown = []
+    for i, arg in enumerate(argv):
+        hit = None if arg == "--" else _classify(None, arg, _HELP)
+        if hit is None:
+            if arg not in COMMANDS:
+                _refuse(None, f"argument command: invalid choice: {arg!r}")
+            parsed = _parse_command(arg, argv[i + 1:])
+            if unknown:
+                _refuse(arg, f"unrecognized arguments: {' '.join(unknown)}")
+            return parsed
+        flag, explicit = hit
+        if flag is None:
+            unknown.append(arg)
+        else:
+            _show_help(None, flag, explicit)
+    _refuse(None, "the following arguments are required: command")
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        return exc.code
 
-    ordering = args.ordering.split(",") if getattr(args, "ordering", None) else None
-    guard = getattr(args, "guard", None)
-    fmt = args.format
+    command, spec, fmt = args["command"], args.get("spec"), args["format"]
+    ordering = args.get("ordering")
+    ordering = None if ordering is None else ordering.split(",")
+    guard = args.get("guard")
 
     try:
-        if args.command == "catalog":
-            code = cmd_catalog(args.max_order, args.filter, guard, fmt)
-        elif args.command == "analyze":
-            code = cmd_analyze(args.spec, fmt)
-        elif args.command == "construct":
-            code = cmd_construct(args.spec, fmt, ordering, guard)
-        elif args.command == "verify":
-            code = cmd_verify(args.spec, fmt, ordering)
-        elif args.command == "oracle":
-            code = cmd_oracle(args.spec, args.which, fmt, guard)
+        if command == "catalog":
+            code = cmd_catalog(args["max_order"], args["filter"], guard, fmt)
+        elif command == "analyze":
+            code = cmd_analyze(spec, fmt)
+        elif command == "construct":
+            code = cmd_construct(spec, fmt, ordering, guard)
+        elif command == "verify":
+            code = cmd_verify(spec, fmt, ordering)
+        elif command == "oracle":
+            code = cmd_oracle(spec, args["which"], fmt, guard)
         else:
-            code = cmd_render(args.spec, fmt, ordering, guard)
+            code = cmd_render(spec, fmt, ordering, guard)
         sys.stdout.flush()
         return code
     except _GUARD_ERRORS as exc:

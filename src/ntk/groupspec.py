@@ -5,6 +5,8 @@
     Dic<n>      dicyclic of order 4n
     S<n>        symmetric on n points
     A x B       direct product (whitespace around the x optional)
+    A4, He3, Z7:Z3, ...               a catalog label that names no product,
+                                      as a whole spec (``catalog.NAMED_GROUPS``)
     table:<path>                      load a multiplication table file
     sd:<Kspec>,<Hspec>,<actionpath>   twisted product; the action file has
                                       |K| lines, each a permutation of
@@ -24,6 +26,7 @@ from contextlib import contextmanager
 from math import factorial
 from pathlib import Path
 
+from .catalog import NAMED_GROUPS
 from .errors import InvalidAction, ParseError
 from .groups import Group, cyclic, dicyclic, dihedral, direct_product, load_group, semidirect, symmetric
 
@@ -31,6 +34,8 @@ from .groups import Group, cyclic, dicyclic, dihedral, direct_product, load_grou
 MAX_SPEC_ORDER = 2048
 
 _ATOM = re.compile(r"^(dic|z|d|s)(\d+)$", re.IGNORECASE)
+
+_NAMED = {label.lower(): label for label in NAMED_GROUPS}
 
 # atom kind -> (label prefix, constructor, order of the group it builds)
 _BUILDERS = {
@@ -139,4 +144,7 @@ def parse_group_spec(text: str) -> tuple[Group, str]:
             action = load_action(pieces[2].strip())
         label = f"{k_label}:{h_label}"
         return semidirect(k_group, h_group, action, label=label), label
+    if lowered in _NAMED:
+        label = _NAMED[lowered]
+        return NAMED_GROUPS[label][1](), label
     return _parse_product(s, 0)

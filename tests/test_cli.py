@@ -1,12 +1,17 @@
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ntk
 from ntk import cli, construction, graphs
@@ -77,6 +82,14 @@ def test_construct_bad_ordering(capsys):
     code, _, err = run(capsys, "construct", "S3 x Z3", "--ordering", "1,c")
     assert code == 1
     assert "harmonious" in err or "ordering" in err
+
+
+def test_empty_ordering_is_refused(capsys):
+    for command in ("construct", "verify"):
+        for argv in ([command, "Z6", "--ordering", ""], [command, "Z6", "--ordering="]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and not out and _one_error_line(err), argv
+            assert "no element named ''" in err
 
 
 def test_ordering_off_the_ladder_branch_is_refused(capsys):
@@ -230,6 +243,13 @@ def test_catalog_beyond_max_order_rejected_before_any_group(capsys, monkeypatch)
     code, out, err = run(capsys, "catalog", "--max-order", "2049")
     assert code == 1 and not out and _one_error_line(err)
     assert "2049 beyond the supported 2048" in err
+
+
+def test_catalog_below_order_one_rejected(capsys):
+    for max_order in ("0", "-3"):
+        code, out, err = run(capsys, "catalog", "--max-order", max_order)
+        assert code == 1 and not out and _one_error_line(err)
+        assert f"--max-order {max_order} is below 1" in err
 
 
 def test_catalog_odd_filter_uses_mapping_branch(capsys):
@@ -431,33 +451,14 @@ def test_no_route_imports_numpy(tmp_path):
     assert "(x*a)*y != x*(a*y)" in proc.stderr
 
 
-_PARSER_COUNT_SCRIPT = """
-import argparse
-built = []
-init = argparse.ArgumentParser.__init__
-
-
-def counting_init(self, *args, **kwargs):
-    built.append(1)
-    init(self, *args, **kwargs)
-
-
-argparse.ArgumentParser.__init__ = counting_init
-import ntk.cli
-assert not built, f"import ntk.cli built {len(built)} parsers"
-assert ntk.cli.main(["analyze", "Z6"]) == 0
-first = len(built)
-assert first > 0
-assert ntk.cli.main(["oracle", "count", "Z5", "--format", "json"]) == 0
-assert len(built) == first, "the second call built its parser again"
-"""
-
-
-def test_import_builds_no_parser_and_main_builds_it_once():
-    proc = subprocess.run([sys.executable, "-c", _PARSER_COUNT_SCRIPT], env=_src_env(),
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
-                          timeout=60)
+def test_import_and_construct_load_neither_argparse_nor_gettext():
+    # pytest has loaded both already, so the calls are made in a fresh process
+    script = ("import sys, ntk.cli; assert ntk.cli.main(['construct', 'Z6']) == 0; "
+              "print(sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -603,3 +604,152 @@ def test_json_output_is_json_dumps_on_every_payload(capsys, emitted):
     for which in ("transversal", "count", "maxpartial", "completemapping"):
         for spec in ("Z2", "Z5", "D3"):
             _assert_printed_as_json_dumps(capsys, emitted, "oracle", which, spec)
+
+
+# ---------------------------------------------------------------------------
+# the argparse parser that ntk used before its command table, kept only as
+# the reference that ``cli.parse_args`` is compared with
+
+def build_parser():
+    parser = argparse.ArgumentParser(
+        prog="ntk",
+        description="Near transversals of group-based latin squares: "
+                    "construct, verify, render, and cross-check with oracles.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help, *, spec=True, which=None, ordering=False, guard=True,
+                formats=("text", "json")):
+        p = sub.add_parser(name, help=help)
+        if which:
+            p.add_argument("which", choices=which)
+        if spec:
+            p.add_argument("spec", help="group spec, e.g. 'Z6', 'S3 x Z3', 'Dic3', 'table:path'")
+        p.add_argument("--format", default=formats[0], choices=formats)
+        if ordering:
+            p.add_argument("--ordering", default=None,
+                           help="comma-separated element names overriding the harmonious ordering")
+        if guard:
+            p.add_argument("--guard-override", default=None, type=int, dest="guard",
+                           help="raise/lower the search guards for this invocation")
+        return p
+
+    command("analyze", "order, Sylow-2 class, decomposition parameters", guard=False)
+    command("construct", "emit a verified near transversal", ordering=True)
+    command("verify", "run the structural witness checks", ordering=True, guard=False)
+    command("oracle", "exhaustive baselines for cross-checking",
+            which=["transversal", "count", "maxpartial", "completemapping"])
+    command("render", "print the table with witness cells marked", ordering=True,
+            formats=("ascii", "latex"))
+    cat = command("catalog", "run construct+verify across the built-in catalog", spec=False)
+    cat.add_argument("--max-order", type=int, default=20)
+    cat.add_argument("--filter", default="all",
+                     choices=["all", "odd", "even", "construction"])
+    return parser
+
+
+_REFERENCE = build_parser()
+# Python 3.13's argparse reads -h with a value attached (-hx, -h=h) otherwise
+_AS_ARGPARSE_DID = pytest.mark.skipif(sys.version_info >= (3, 13),
+                                      reason="the reference is argparse of Python 3.10-3.12")
+
+
+def _outcome(parse, argv):
+    """("accepted", fields), ("help", stdout) or ("refused", stderr), then
+    what was written to the stream that should have stayed empty."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return "accepted", parse(argv), out.getvalue() + err.getvalue()
+        except SystemExit as exc:
+            if exc.code == 0:
+                return "help", out.getvalue(), err.getvalue()
+            return "refused", err.getvalue(), out.getvalue()
+
+
+def _assert_parsed_as_argparse_did(argv):
+    kind, value, stray = _outcome(cli.parse_args, argv)
+    ref_kind, ref_value, _ = _outcome(lambda a: vars(_REFERENCE.parse_args(a)), argv)
+    assert (kind, stray) == (ref_kind, ""), argv
+    if kind == "accepted":
+        assert value == ref_value, argv
+    elif kind == "help":
+        assert value.startswith("usage: ntk"), argv
+    else:
+        lines = value.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("usage: ntk"), argv
+        assert re.fullmatch(r"ntk( [a-z]+)?: error: .+", lines[1]), argv
+
+
+_FLAGS = ["--format", "--ordering", "--guard-override", "--max-order", "--filter", "--help"]
+# every value a choice or int option meets, good or bad; "--" after "=" is
+# left out (see test_double_dash_after_equals_is_a_value)
+_VALUES = ["json", "text", "ascii", "latex", "all", "odd", "even", "construction", "transversal",
+           "count", "JSON", "7", "-3", " 12 ", "+5", "1_0", "٣", "0x10", "x", "", "1,c",
+           "-1,c", "a b", "Z6"]
+_flag = st.builds(lambda flag, size: flag[:size], st.sampled_from(_FLAGS), st.integers(2, 16))
+_token = st.one_of(
+    st.sampled_from([*cli.COMMANDS, "bogus", "Z6", "S3 x Z3", "completemapping", "maxpartial"]),
+    st.sampled_from(["--", "-h", "-hh", "-hx", "-h=h", "-h=", "-", "-1", "-.5", "-x", "-x y",
+                     "--bogus", "--bogus=1", "---format"]),
+    _flag,
+    st.builds("{}={}".format, _flag, st.sampled_from(_VALUES)),
+    st.sampled_from(_VALUES),
+)
+_argv = st.builds(lambda head, rest: head + rest,
+                  st.lists(st.sampled_from(list(cli.COMMANDS)), max_size=1),
+                  st.lists(_token, max_size=7))
+
+
+@_AS_ARGPARSE_DID
+@settings(max_examples=1500, deadline=None)
+@given(_argv)
+def test_parse_args_reads_argv_as_argparse_did(argv):
+    _assert_parsed_as_argparse_did(argv)
+
+
+@_AS_ARGPARSE_DID
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--he"], ["-hh"], ["-hx"], ["--help=x"], ["--bogus"], ["--", "construct", "Z6"],
+    ["--bogus", "construct", "Z6"], ["--bogus", "construct", "Z6", "-h"], ["bogus", "Z6"],
+    ["construct"], ["construct", "Z6", "Z7"], ["construct", "-h", "--format", "bad"],
+    ["construct", "--format", "bad", "-h"], ["construct", "--format"], ["construct", "-1"],
+    ["construct", "Z6", "-1"], ["construct", "--", "-h"], ["construct", "--", "Z6", "--"],
+    ["construct", "Z6", "--"], ["construct", "Z6", "--format", "json", "--"], ["catalog", "--"],
+    ["construct", "Z6", "--form", "json", "--f=text"], ["construct", "Z6", "--=x"],
+    ["construct", "Z6", "--ordering", "-1,c"], ["construct", "Z6", "--ordering", "-1 c"],
+    ["construct", "--ordering", "1,c", "Z6", "--ordering", "1"], ["catalog", "--f", "json"],
+    ["catalog", "-h", "--f"], ["catalog", "--max", "-3", "--fi=odd"],
+    ["catalog", "--max-order", "x"], ["catalog", "--max-order=", "5"],
+    ["catalog", "--max-order", "9" * 5000], ["oracle", "count", "--format", "json", "Z5"],
+    ["oracle", "--", "count", "Z5"], ["oracle", "count", "--", "Z5"], ["oracle", "bogus", "-h"],
+    ["oracle", "-h", "bogus"], ["oracle", "count", "Z5", "extra", "-h"],
+    ["render", "Z6", "--format=json"],
+])
+def test_parse_args_edge_cases(argv):
+    _assert_parsed_as_argparse_did(argv)
+
+
+def test_double_dash_after_equals_is_a_value(capsys):
+    # argparse on Python 3.10 and 3.11 read ``--opt=--`` as an empty list,
+    # which ``catalog --max-order=--`` then met as a TypeError
+    assert cli.parse_args(["construct", "Z6", "--ordering=--"])["ordering"] == "--"
+    for argv in (["construct", "Z6", "--ordering=--"], ["catalog", "--max-order=--"],
+                 ["construct", "Z6", "--format=--"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and not out and "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_lists_every_argument_of_the_table(capsys, command):
+    code, out, err = run(capsys, *filter(None, [command, "--help"]))
+    assert code == 0 and not err
+    if command is None:
+        assert all(f"  {name} " in out for name in cli.COMMANDS)
+        return
+    _, positionals, options = cli.COMMANDS[command]
+    assert out.startswith(f"usage: ntk {command} [-h]")
+    for name, choices, _ in positionals:
+        assert ("{" + ",".join(choices) + "}" if choices else name) in out
+    for flag, (_, _, choices, _, text) in options.items():
+        assert flag in out and text in out and all(choice in out for choice in choices or ())

@@ -1,6 +1,7 @@
 import pytest
 
 import ntk
+from ntk.catalog import NAMED_GROUPS, builtin_catalog
 from ntk.errors import InvalidAction, ParseError
 from ntk.groupspec import parse_group_spec
 
@@ -17,6 +18,20 @@ def test_case_and_whitespace_insensitive():
         group, label = parse_group_spec(spec)
         assert group.n == 18
         assert label == "S3 x Z3"
+
+
+def test_every_catalog_label_is_a_spec():
+    # a label the grammar reads as a product (Z2xZ2, S3xZ3) gives that direct
+    # product with the grammar's element names; every other label gives the
+    # catalog's own group
+    for entry in builtin_catalog(200):
+        group, label = parse_group_spec(entry.label)
+        if "x" in entry.label and entry.label not in NAMED_GROUPS:
+            assert (group.n, label) == (entry.group.n, entry.label.replace("x", " x "))
+        else:
+            assert (group, label) == (entry.group, entry.label)
+    assert parse_group_spec(" dih(z3xz3) ") == (dict(builtin_catalog(18))["Dih(Z3xZ3)"],
+                                                "Dih(Z3xZ3)")
 
 
 def test_products_fold_left():
