@@ -18,22 +18,14 @@ from .groups import Group, cyclic, dicyclic, dihedral, direct_product, semidirec
 CatalogEntry = namedtuple("CatalogEntry", "label group")
 
 
-def _power_action(k_order: int, perm: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Action of a cyclic group: element i acts as the i-th power of ``perm``."""
-    n = len(perm)
-    acts = [tuple(range(n))]
+def _twist(label: str, k_order: int, k_gen: str, h: Group,
+           perm: tuple[int, ...]) -> Group:
+    """Z_k, generated by ``k_gen``, acting on ``h``: element i acts as the
+    i-th power of the automorphism ``perm``."""
+    acts = [tuple(range(h.n))]
     for _ in range(k_order - 1):
-        prev = acts[-1]
-        acts.append(tuple(perm[prev[x]] for x in range(n)))
-    return acts
-
-
-def _inversion(group: Group) -> tuple[int, ...]:
-    return tuple(group.inverses)
-
-
-def _mod_scaling(n: int, factor: int) -> tuple[int, ...]:
-    return tuple((factor * i) % n for i in range(n))
+        acts.append(tuple(perm[x] for x in acts[-1]))
+    return semidirect(cyclic(k_order, k_gen), h, acts, label=label)
 
 
 def _s3_times_cyclic(q: int) -> Group:
@@ -42,48 +34,30 @@ def _s3_times_cyclic(q: int) -> Group:
     Built as Z2 twisted over (Z_q x Z3): b inverts d and fixes c, so the
     element words come out as b^i c^j d^k.
     """
-    h = direct_product(cyclic(q, "c"), cyclic(3, "d"))
     invert_d = tuple(3 * (i // 3) + (-i % 3) for i in range(3 * q))
-    action = _power_action(2, invert_d)
-    return semidirect(cyclic(2, "b"), h, action, label=f"S3xZ{q}")
-
-
-def _alternating4() -> Group:
-    h = direct_product(cyclic(2, "u"), cyclic(2, "v"))
-    # rotate the three involutions: u -> v -> uv -> u
-    rot = (0, 3, 1, 2)
-    return semidirect(cyclic(3, "t"), h, _power_action(3, rot), label="A4")
-
-
-def _heisenberg3() -> Group:
-    h = direct_product(cyclic(3, "y"), cyclic(3, "z"))
-    # x acts by y -> yz, z -> z; every non-identity element has order 3
-    shear = tuple(3 * (i // 3) + (i // 3 + i) % 3 for i in range(9))
-    return semidirect(cyclic(3, "x"), h, _power_action(3, shear), label="He3")
-
-
-def _gen_dihedral_3x3() -> Group:
-    h = direct_product(cyclic(3, "c"), cyclic(3, "d"))
-    return semidirect(cyclic(2, "s"), h, _power_action(2, _inversion(h)),
-                      label="Dih(Z3xZ3)")
+    return _twist(f"S3xZ{q}", 2, "b", direct_product(cyclic(q, "c"), cyclic(3, "d")), invert_d)
 
 
 def _cyclic_twist(k_order: int, h_order: int, factor: int, label: str) -> Group:
-    h = cyclic(h_order, "c")
-    return semidirect(cyclic(k_order, "b"), h,
-                      _power_action(k_order, _mod_scaling(h_order, factor)),
-                      label=label)
+    scaling = tuple((factor * i) % h_order for i in range(h_order))
+    return _twist(label, k_order, "b", cyclic(h_order, "c"), scaling)
 
 
 # label -> (order, builder) of each catalog group that no spec of the grammar
 # names; parse_group_spec reads each of these labels as a whole spec
 NAMED_GROUPS = {
-    "A4": (12, _alternating4),
-    "Dih(Z3xZ3)": (18, _gen_dihedral_3x3),
+    # t rotates the three involutions: u -> v -> uv -> u
+    "A4": (12, lambda: _twist("A4", 3, "t", direct_product(cyclic(2, "u"), cyclic(2, "v")),
+                              (0, 3, 1, 2))),
+    # s inverts every element
+    "Dih(Z3xZ3)": (18, lambda: _twist("Dih(Z3xZ3)", 2, "s", direct_product(
+        cyclic(3, "c"), cyclic(3, "d")), (0, 2, 1, 6, 8, 7, 3, 5, 4))),
     "F20": (20, partial(_cyclic_twist, 4, 5, 2, "F20")),
     "Z7:Z3": (21, partial(_cyclic_twist, 3, 7, 2, "Z7:Z3")),
     "Z8:Z3": (24, partial(_cyclic_twist, 8, 3, 2, "Z8:Z3")),
-    "He3": (27, _heisenberg3),
+    # x acts by y -> yz, z -> z; every non-identity element has order 3
+    "He3": (27, lambda: _twist("He3", 3, "x", direct_product(
+        cyclic(3, "y"), cyclic(3, "z")), (0, 1, 2, 4, 5, 3, 8, 6, 7))),
     "Z4:Z7": (28, partial(_cyclic_twist, 4, 7, 6, "Z4:Z7")),
     "Z4:Z9": (36, partial(_cyclic_twist, 4, 9, 8, "Z4:Z9")),
     "Z16:Z3": (48, partial(_cyclic_twist, 16, 3, 2, "Z16:Z3")),

@@ -33,7 +33,6 @@ from .errors import (
     NtkError,
     OrderTooLarge,
     StructureViolation,
-    TooLarge,
 )
 from .groups import CYCLIC_NONTRIVIAL, Group, sylow2
 from .groupspec import MAX_SPEC_ORDER, parse_group_spec
@@ -42,8 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_GUARD = 3
-
-_GUARD_ERRORS = (OrderTooLarge, TooLarge)
 
 
 def _parse_ordering(group: Group, names: list[str]) -> list[int]:
@@ -123,7 +120,7 @@ def cmd_analyze(spec: str, fmt: str) -> int:
     }
     if report.classification == CYCLIC_NONTRIVIAL:
         dec = construction.decompose(group, report=report)
-        ordering = construction._fixed_ordering(dec)
+        ordering = mappings.harmonious_ordering(group, dec.fixed_part)
         payload.update({
             "generator": group.names[dec.sylow_gen],
             "l": dec.odd_order,
@@ -244,7 +241,7 @@ def cmd_catalog(max_order: int, flt: str, guard: int | None, fmt: str) -> int:
             lines.append(
                 f"{entry.label:<12} order={group.n:<4} branch={result.branch:<17} {status}"
             )
-        except _GUARD_ERRORS:
+        except OrderTooLarge:
             skipped += 1
             lines.append(f"{entry.label:<12} order={group.n:<4} skipped (guard)")
         except NtkError as exc:
@@ -483,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
             code = cmd_render(spec, fmt, ordering, guard)
         sys.stdout.flush()
         return code
-    except _GUARD_ERRORS as exc:
+    except OrderTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except StructureViolation as exc:

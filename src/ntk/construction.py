@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Sequence
 
-from .errors import InvalidOrdering, NotApplicable, NotPermutation, StructureViolation
+from .errors import InvalidOrdering, NotApplicable, StructureViolation
 from .groups import (
     CYCLIC_NONTRIVIAL,
     Group,
@@ -42,7 +42,7 @@ from .groups import (
     sylow2,
 )
 from .latin import Cell, cayley_square, is_partial_transversal
-from .mappings import _check_successors, _lift, find_complete_mapping
+from .mappings import _checked_ordering, find_complete_mapping
 
 BRANCH_CONSTRUCTION = "construction"
 BRANCH_COMPLETE_MAPPING = "complete-mapping"
@@ -161,33 +161,12 @@ def decompose(group: Group, *, report: SylowReport | None = None) -> Decompositi
     )
 
 
-def _fixed_ordering(dec: Decomposition,
-                    ordering: Sequence[int] | None = None) -> tuple[int, ...]:
-    """A harmonious ordering of the fixed part: ``ordering`` if given, else
-    the one lifted over the fixed part, which ``decompose`` built as a
-    subgroup, so it is not re-tested.
-
-    Either ordering passes the successor check; an override that fails it
-    raises :class:`InvalidOrdering`.
-    """
-    group = dec.group
-    members = sorted(dec.fixed_part)
-    given = ordering is not None
-    ordering = tuple(int(x) for x in ordering) if given else _lift(group, members)
-    try:
-        ok, collision = _check_successors(group, ordering, members)
-    except NotPermutation as exc:
-        raise InvalidOrdering(str(exc)) from exc
-    if not ok:
-        failure = InvalidOrdering if given else StructureViolation
-        raise failure(f"ordering is not harmonious: {collision}")
-    return ordering
-
-
 def build_witness(dec: Decomposition,
                   ordering: Sequence[int] | None = None) -> Witness:
     """Materialize the ladder and prism families from a harmonious ordering
-    of the fixed part (see :func:`_fixed_ordering`).
+    of the fixed part: ``ordering`` if given (:class:`InvalidOrdering` if it
+    is not one), else the one :func:`harmonious_ordering` lifts. The fixed
+    part is not re-tested to be a subgroup: ``decompose`` built it as one.
 
     Each product is computed once: shifted ladder cell ``i`` takes the
     column of diagonal cell ``i + 1`` (mod ``km``), and a prism's rows and
@@ -196,7 +175,7 @@ def build_witness(dec: Decomposition,
     ``gcd(k, m) = 1`` the ladder rows ``b^i h_i`` run over ``km`` distinct
     pairs ``(i mod k, i mod m)``.
     """
-    ordering = _fixed_ordering(dec, ordering)
+    ordering = _checked_ordering(dec.group, sorted(dec.fixed_part), ordering)
     k, m = dec.sylow_order, dec.fixed_order
     km = k * m
     mul = dec.group.mul
@@ -309,16 +288,12 @@ def display_orders(witness: Witness) -> tuple[tuple[int, ...], tuple[int, ...]]:
     on the main diagonal.
     """
     dec = witness.dec
-    mul = dec.group.mul
-    powers = dec.gen_powers
-    moved = [x for pair in dec.orbit_pairs for x in pair]
-    km = dec.sylow_order * dec.fixed_order
-    rows = [cell[0] for cell in witness.ladder_cells[:km]]
-    cols = [cell[1] for cell in witness.ladder_cells[:km]]
-    for p in powers:
-        rows.extend(mul(p, f) for f in moved)
-        cols.extend(mul(f, p) for f in moved)
-    return tuple(rows), tuple(cols)
+    k = dec.sylow_order
+    diagonal = witness.prism_cells[:len(witness.prism_cells) // 2]
+    cells = witness.ladder_cells[:k * dec.fixed_order] + tuple(
+        cell for i in range(k) for cell in diagonal[i::k])
+    rows, cols = zip(*cells)
+    return rows, cols
 
 
 def result_json(result: ConstructionResult, label: str | None = None) -> dict:

@@ -11,11 +11,13 @@ searched for, by lifting over a cyclic quotient.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
 from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import (
     InvalidInput,
+    InvalidOrdering,
     NotPermutation,
     OddOrderRequired,
     SearchExhausted,
@@ -23,19 +25,16 @@ from .errors import (
 )
 from .guards import ensure_within
 from .groups import Group, _cached_orders, commutator_subgroup, is_subgroup, subgroup_closure
-from .latin import _search
+from .latin import _check_perm, _search
 
 Collision = namedtuple("Collision", "kind i j value")
 
 
 def is_complete_mapping(group: Group, sigma: Sequence[int]) -> bool:
-    n = group.n
-    p = tuple(int(x) for x in sigma)
-    if sorted(p) != list(range(n)):
-        raise NotPermutation(f"sigma is not a permutation of 0..{n - 1}")
+    p = _check_perm(sigma, group.n, "sigma")
     mul = group.mul
     seen = 0
-    for g in range(n):
+    for g in range(group.n):
         bit = 1 << mul(g, p[g])
         if seen & bit:
             return False
@@ -46,22 +45,9 @@ def is_complete_mapping(group: Group, sigma: Sequence[int]) -> bool:
 def _abelianized_product_is_identity(group: Group) -> bool:
     # A complete mapping forces the product of all elements, taken in the
     # abelianization, to vanish: the diagonal products re-enumerate the group,
-    # so s = 2s there. Checking this up front refutes impossible instances
-    # without touching the exponential search.
-    commutators = commutator_subgroup(group)
-    if len(commutators) == group.n:
-        return True
-    rep: dict[int, int] = {}
-    for g in group.elements():
-        if g in rep:
-            continue
-        coset = sorted(group.table[g][h] for h in commutators)
-        for member in coset:
-            rep[member] = coset[0]
-    acc = rep[group.identity]
-    for g in group.elements():
-        acc = rep[group.table[acc][g]]
-    return acc == rep[group.identity]
+    # so s = 2s there. The image in G/G' does not depend on the order of the
+    # factors, so one product in G, tested for membership in G', decides it.
+    return reduce(group.mul, group.elements(), group.identity) in commutator_subgroup(group)
 
 
 def find_complete_mapping(group: Group, *,
@@ -71,7 +57,9 @@ def find_complete_mapping(group: Group, *,
     The graph of a complete mapping is a transversal of the multiplication
     table, so this is the first transversal of the latin search kernel read
     row by row: sigma(g) is the column chosen in row g, the smallest mapping.
-    Absence is certified either by the abelianization test above or by
+    Absence is certified either by Hall and Paige's abelianization test (the
+    product of all elements lies outside the derived subgroup G', which is
+    exactly when the Sylow 2-subgroup is cyclic and nontrivial) or by
     exhausting the search. A group table's right translations make its
     columns regular, so the search pins row 0 to column 0 without checking.
     """
@@ -97,10 +85,27 @@ def harmonious_ordering(group: Group,
     members = _resolve_members(group, subgroup)
     if len(members) % 2 == 0:
         raise OddOrderRequired(f"subgroup order {len(members)} is even")
-    ordering = _lift(group, members)
-    ok, collision = _check_successors(group, ordering, members)
+    return _checked_ordering(group, members)
+
+
+def _checked_ordering(group: Group, members: list[int],
+                      ordering: Sequence[int] | None = None) -> tuple[int, ...]:
+    """A harmonious ordering of the subgroup ``members`` that has passed the
+    successor check: ``ordering`` if given, else the one lifted by
+    :func:`_lift`. A given ordering that fails raises
+    :class:`InvalidOrdering`; a lifted one that fails,
+    :class:`StructureViolation`. ``members`` is not re-tested to be a
+    subgroup.
+    """
+    given = ordering is not None
+    ordering = tuple(int(x) for x in ordering) if given else _lift(group, members)
+    try:
+        ok, collision = _check_successors(group, ordering, members)
+    except NotPermutation as exc:
+        raise InvalidOrdering(str(exc)) from exc
     if not ok:
-        raise StructureViolation(f"lifted ordering failed: {collision}")
+        failure = InvalidOrdering if given else StructureViolation
+        raise failure(f"ordering is not harmonious: {collision}")
     return ordering
 
 

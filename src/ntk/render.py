@@ -45,27 +45,19 @@ def render_model(result: ConstructionResult) -> RenderModel:
     )
 
 
+def _marked_grid(model: RenderModel, ladder: str, prism: str) -> list[list[str]]:
+    """``model.grid`` with each marked name wrapped by its family's template."""
+    return [[ladder % s if (i, j) in model.ladder_marks
+             else prism % s if (i, j) in model.prism_marks else s
+             for j, s in enumerate(row)] for i, row in enumerate(model.grid)]
+
+
 def ascii_table(model: RenderModel) -> str:
-    n = len(model.grid)
-    texts = [["" for _ in range(n + 1)] for _ in range(n + 1)]
-    texts[0][0] = "*"
-    for j, lab in enumerate(model.col_labels):
-        texts[0][j + 1] = lab
-    for i in range(n):
-        texts[i + 1][0] = model.row_labels[i]
-        for j in range(n):
-            s = model.grid[i][j]
-            if (i, j) in model.ladder_marks:
-                s = f"[{s}]"
-            elif (i, j) in model.prism_marks:
-                s = f"{{{s}}}"
-            texts[i + 1][j + 1] = s
-    widths = [max(len(texts[i][j]) for i in range(n + 1)) for j in range(n + 1)]
-    lines = [
-        " ".join(texts[i][j].rjust(widths[j]) for j in range(n + 1))
-        for i in range(n + 1)
-    ]
-    return "\n".join(lines) + "\n"
+    texts = [["*", *model.col_labels]]
+    texts += [[label, *row] for label, row
+              in zip(model.row_labels, _marked_grid(model, "[%s]", "{%s}"))]
+    widths = [max(map(len, column)) for column in zip(*texts)]
+    return "".join(" ".join(t.rjust(w) for t, w in zip(row, widths)) + "\n" for row in texts)
 
 
 def latex_table(model: RenderModel) -> str:
@@ -77,16 +69,7 @@ def latex_table(model: RenderModel) -> str:
         r"\begin{tabular}{|" + "c|" * n + "}",
         r"\hline",
     ]
-    for i in range(n):
-        parts = []
-        for j in range(n):
-            s = model.grid[i][j]
-            if (i, j) in model.ladder_marks:
-                parts.append(r"\lad{" + s + "}")
-            elif (i, j) in model.prism_marks:
-                parts.append(r"\pri{" + s + "}")
-            else:
-                parts.append(s)
-        out.append(" & ".join(parts) + r" \\\hline")
+    out.extend(" & ".join(row) + r" \\\hline"
+               for row in _marked_grid(model, r"\lad{%s}", r"\pri{%s}"))
     out.append(r"\end{tabular}")
     return "\n".join(out) + "\n"

@@ -19,6 +19,8 @@ from ntk.catalog import builtin_catalog
 from ntk.cli import main
 from ntk.errors import NotAssociative, OrderTooLarge, TooLarge
 
+DATA = Path(__file__).parent / "data"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -230,6 +232,27 @@ def test_render_latex_order18(capsys):
     assert body.count(r"\pri{") == 24
 
 
+
+@pytest.mark.parametrize("argv, expected", [
+    (["render", "S3 x Z3"], "render_s3xz3.txt"),                         # ladder and prisms
+    (["render", "S3 x Z3", "--format", "latex"], "render_s3xz3.tex"),
+    (["render", "D4"], "render_d4.txt"),                                 # complete mapping
+])
+def test_render_is_pinned_byte_for_byte(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, (DATA / expected).read_text(), "")
+
+
+def test_analyze_and_construct_print_the_same_ordering(capsys):
+    ladder = 0
+    for entry in builtin_catalog(200):
+        if ntk.sylow2(entry.group).classification != ntk.CYCLIC_NONTRIVIAL:
+            continue
+        ladder += 1
+        analyzed = json.loads(run(capsys, "analyze", entry.label, "--format", "json")[1])
+        built = json.loads(run(capsys, "construct", entry.label, "--format", "json")[1])
+        assert analyzed["ordering"] == built["ordering"], entry.label
+    assert ladder == 197
+
 def test_catalog_small(capsys):
     code, out, _ = run(capsys, "catalog", "--max-order", "10")
     assert code == 0
@@ -440,7 +463,7 @@ def test_no_route_imports_numpy(tmp_path):
     # groups nor the check of a table that comes in loads numpy.
     loop = tmp_path / "loop.txt"
     loop.write_text("5\n0 1 2 3 4\n1 0 3 4 2\n2 3 4 0 1\n3 4 1 2 0\n4 2 0 1 3\n")
-    twisted = Path(__file__).parent / "data" / "z6_on_z13_by_3.txt"
+    twisted = DATA / "z6_on_z13_by_3.txt"
     calls = ["construct|Z2046|--format|json", "verify|D1023", "analyze|S3 x Z85",
              "oracle|count|Z8", "oracle|completemapping|Dic2", "render|S3",
              f"construct|sd:Z6,Z13,{twisted}", "catalog|--max-order|30"]

@@ -6,7 +6,9 @@ import ntk
 from ntk.catalog import builtin_catalog
 from ntk.errors import InvalidInput, NotPermutation, OddOrderRequired, OrderTooLarge
 from ntk.groups import CYCLIC_NONTRIVIAL
+from ntk.groupspec import parse_group_spec
 from ntk.latin import _search
+from ntk.mappings import _abelianized_product_is_identity
 
 
 def test_identity_is_complete_for_odd_order():
@@ -81,6 +83,18 @@ def test_presence_matches_sylow_class_small():
         present = ntk.find_complete_mapping(group) is not None
         cyclic_sylow = ntk.sylow2(group).classification == CYCLIC_NONTRIVIAL
         assert present == (not cyclic_sylow), entry.label
+
+
+
+def test_abelianized_product_matches_hall_paige_criterion():
+    # Hall and Paige: the product of all elements lies in G' exactly when the
+    # Sylow 2-subgroup is trivial or non-cyclic.
+    groups = [(e.label, e.group) for e in builtin_catalog(200)]
+    groups += [(spec, parse_group_spec(spec)[0]) for spec in
+               ("S4", "S5", "Z2 x Z2 x Z2 x Z2", "D8 x Z2", "Z2 x Z1023")]
+    for label, group in groups:
+        expected = ntk.sylow2(group).classification != CYCLIC_NONTRIVIAL
+        assert _abelianized_product_is_identity(group) == expected, label
 
 
 # ---------------------------------------------------------------------------
