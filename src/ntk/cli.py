@@ -10,6 +10,10 @@ of a repeated option counting, and ``--`` ending the options. Help
 is not imported: each ``ntk`` call is a fresh process, which would pay for
 importing it and building a parser per command.
 
+``main`` calls the command's handler in ``HANDLERS`` with the parsed fields
+as keywords, so a handler's parameters are its positionals' names and its
+options' destinations in the table.
+
 Exit codes: 0 verified/ok or help, 1 usage or parse problem or stdout
 closed early, 2 verification failure, 3 search guard exceeded. Everything
 is deterministic.
@@ -29,7 +33,6 @@ from .catalog import builtin_catalog
 from .errors import (
     InvalidInput,
     InvalidOrdering,
-    NotApplicable,
     NtkError,
     OrderTooLarge,
     StructureViolation,
@@ -43,9 +46,11 @@ EXIT_VERIFY = 2
 EXIT_GUARD = 3
 
 
-def _parse_ordering(group: Group, names: list[str]) -> list[int]:
+def _parse_ordering(group: Group, ordering: str | None) -> list[int] | None:
+    if ordering is None:
+        return None
     try:
-        return [group.index_of(name) for name in names]
+        return [group.index_of(name) for name in ordering.split(",")]
     except KeyError as exc:
         raise InvalidOrdering(str(exc)) from exc
 
@@ -109,7 +114,7 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
-def cmd_analyze(spec: str, fmt: str) -> int:
+def cmd_analyze(spec: str, format: str) -> int:
     group, label = parse_group_spec(spec)
     report = sylow2(group)
     payload: dict = {
@@ -120,7 +125,7 @@ def cmd_analyze(spec: str, fmt: str) -> int:
     }
     if report.classification == CYCLIC_NONTRIVIAL:
         dec = construction.decompose(group, report=report)
-        ordering = mappings.harmonious_ordering(group, dec.fixed_part)
+        ordering = construction.build_witness(dec).ordering
         payload.update({
             "generator": group.names[dec.sylow_gen],
             "l": dec.odd_order,
@@ -133,17 +138,17 @@ def cmd_analyze(spec: str, fmt: str) -> int:
             "ladder construction not applicable; a full transversal exists "
             "(complete-mapping criterion)"
         )
-    _emit(payload, fmt)
+    _emit(payload, format)
     return EXIT_OK
 
 
-def cmd_construct(spec: str, fmt: str, names: list[str] | None, guard: int | None) -> int:
+def cmd_construct(spec: str, format: str, ordering: str | None, guard: int | None) -> int:
     group, label = parse_group_spec(spec)
-    ordering = _parse_ordering(group, names) if names else None
-    result = construction.near_transversal(group, ordering=ordering, guard=guard)
+    result = construction.near_transversal(
+        group, ordering=_parse_ordering(group, ordering), guard=guard)
     payload = construction.result_json(result, label)
-    if fmt == "json":
-        _emit(payload, fmt)
+    if format == "json":
+        _emit(payload, format)
     else:
         print(f"group: {label}  branch: {result.branch}  cells: {len(result.cells)}")
         for r, c, s in payload["cells"]:
@@ -155,19 +160,13 @@ def _verdict(section: dict) -> str:
     return "pass" if section["passed"] else "FAIL"
 
 
-def cmd_verify(spec: str, fmt: str, names: list[str] | None) -> int:
+def cmd_verify(spec: str, format: str, ordering: str | None) -> int:
     group, label = parse_group_spec(spec)
-    report = sylow2(group)
-    if report.classification != CYCLIC_NONTRIVIAL:
-        raise NotApplicable(
-            f"{label}: Sylow 2-subgroup is {report.classification}; verification "
-            "applies only to the cyclic nontrivial case of the dichotomy"
-        )
-    ordering = _parse_ordering(group, names) if names else None
-    dec = construction.decompose(group, report=report)
-    wreport = graphs.check_witness(construction.build_witness(dec, ordering))
-    if fmt == "json":
-        _emit({"group": label, **wreport}, fmt)
+    dec = construction.decompose(group)
+    wreport = graphs.check_witness(
+        construction.build_witness(dec, _parse_ordering(group, ordering)))
+    if format == "json":
+        _emit({"group": label, **wreport}, format)
     else:
         mobius, prisms = wreport["mobius"], wreport["prisms"]
         print(f"group: {label}")
@@ -181,7 +180,7 @@ def cmd_verify(spec: str, fmt: str, names: list[str] | None) -> int:
     return EXIT_OK if wreport["passed"] else EXIT_VERIFY
 
 
-def cmd_oracle(spec: str, which: str, fmt: str, guard: int | None) -> int:
+def cmd_oracle(which: str, spec: str, format: str, guard: int | None) -> int:
     group, label = parse_group_spec(spec)
     square = latin.cayley_square(group)
     payload: dict = {"group": label, "oracle": which}
@@ -199,62 +198,52 @@ def cmd_oracle(spec: str, which: str, fmt: str, guard: int | None) -> int:
         sigma = mappings.find_complete_mapping(group, guard=guard)
         payload["present"] = sigma is not None
         payload["sigma"] = [group.names[v] for v in sigma] if sigma else None
-    _emit(payload, fmt)
+    _emit(payload, format)
     return EXIT_OK
 
 
-def cmd_render(spec: str, fmt: str, names: list[str] | None, guard: int | None) -> int:
-    group, label = parse_group_spec(spec)
-    ordering = _parse_ordering(group, names) if names else None
-    result = construction.near_transversal(group, ordering=ordering, guard=guard)
+def cmd_render(spec: str, format: str, ordering: str | None, guard: int | None) -> int:
+    group, _ = parse_group_spec(spec)
+    result = construction.near_transversal(
+        group, ordering=_parse_ordering(group, ordering), guard=guard)
     model = render.render_model(result)
-    _write(render.latex_table(model) if fmt == "latex" else render.ascii_table(model))
+    _write(render.latex_table(model) if format == "latex" else render.ascii_table(model))
     return EXIT_OK
 
 
-def cmd_catalog(max_order: int, flt: str, guard: int | None, fmt: str) -> int:
+def cmd_catalog(format: str, guard: int | None, max_order: int, filter: str) -> int:
     if max_order > MAX_SPEC_ORDER:
         raise InvalidInput(f"--max-order {max_order} beyond the supported {MAX_SPEC_ORDER}")
     if max_order < 1:
         raise InvalidInput(f"--max-order {max_order} is below 1")
-    entries = builtin_catalog(max_order)
     lines = []
-    failures = 0
-    skipped = 0
-    passed = 0
-    for entry in entries:
+    counts = dict.fromkeys(("passed", "failed", "skipped"), 0)
+    for entry in builtin_catalog(max_order):
         group = entry.group
-        if flt == "odd" and group.n % 2 == 0:
+        if filter == "odd" and group.n % 2 == 0:
             continue
-        if flt == "even" and group.n % 2 == 1:
+        if filter == "even" and group.n % 2 == 1:
             continue
-        if flt == "construction" and sylow2(group).classification != CYCLIC_NONTRIVIAL:
+        if filter == "construction" and sylow2(group).classification != CYCLIC_NONTRIVIAL:
             continue
+        head = f"{entry.label:<12} order={group.n:<4}"
         try:
             result = construction.near_transversal(group, guard=guard)
             ok = result.witness is None or graphs.check_witness(result.witness)["passed"]
-            status = "pass" if ok else "FAIL"
-            if ok:
-                passed += 1
-            else:
-                failures += 1
-            lines.append(
-                f"{entry.label:<12} order={group.n:<4} branch={result.branch:<17} {status}"
-            )
+            counts["passed" if ok else "failed"] += 1
+            lines.append(f"{head} branch={result.branch:<17} {'pass' if ok else 'FAIL'}")
         except OrderTooLarge:
-            skipped += 1
-            lines.append(f"{entry.label:<12} order={group.n:<4} skipped (guard)")
+            counts["skipped"] += 1
+            lines.append(f"{head} skipped (guard)")
         except NtkError as exc:
-            failures += 1
-            lines.append(f"{entry.label:<12} order={group.n:<4} FAIL ({exc})")
-    summary = {"groups": passed + failures + skipped, "passed": passed,
-               "failed": failures, "skipped": skipped}
-    if fmt == "json":
-        _emit({"summary": summary, "lines": lines}, fmt)
+            counts["failed"] += 1
+            lines.append(f"{head} FAIL ({exc})")
+    if format == "json":
+        _emit({"summary": {"groups": sum(counts.values()), **counts}, "lines": lines}, format)
     else:
         print("\n".join(lines))
-        print(f"passed={passed} failed={failures} skipped={skipped}")
-    return EXIT_OK if failures == 0 else EXIT_VERIFY
+        print(" ".join(f"{key}={value}" for key, value in counts.items()))
+    return EXIT_OK if counts["failed"] == 0 else EXIT_VERIFY
 
 
 _FORMAT = ("format", str, ("text", "json"), "text", "output format")
@@ -285,6 +274,8 @@ COMMANDS = {
                  "--filter": ("filter", str, ("all", "odd", "even", "construction"), "all",
                               "which groups to run")}),
 }
+HANDLERS = {"analyze": cmd_analyze, "construct": cmd_construct, "verify": cmd_verify,
+            "oracle": cmd_oracle, "render": cmd_render, "catalog": cmd_catalog}
 _HELP = ("-h", "--help")
 _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")   # read as a positional, as argparse does
 
@@ -460,24 +451,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code
 
-    command, spec, fmt = args["command"], args.get("spec"), args["format"]
-    ordering = args.get("ordering")
-    ordering = None if ordering is None else ordering.split(",")
-    guard = args.get("guard")
-
     try:
-        if command == "catalog":
-            code = cmd_catalog(args["max_order"], args["filter"], guard, fmt)
-        elif command == "analyze":
-            code = cmd_analyze(spec, fmt)
-        elif command == "construct":
-            code = cmd_construct(spec, fmt, ordering, guard)
-        elif command == "verify":
-            code = cmd_verify(spec, fmt, ordering)
-        elif command == "oracle":
-            code = cmd_oracle(spec, args["which"], fmt, guard)
-        else:
-            code = cmd_render(spec, fmt, ordering, guard)
+        code = HANDLERS[args.pop("command")](**args)
         sys.stdout.flush()
         return code
     except OrderTooLarge as exc:

@@ -25,21 +25,14 @@ from .errors import (
 )
 from .guards import ensure_within
 from .groups import Group, _cached_orders, commutator_subgroup, is_subgroup, subgroup_closure
-from .latin import _check_perm, _search
+from .latin import _check_perm, _search, cayley_square, is_partial_transversal
 
 Collision = namedtuple("Collision", "kind i j value")
 
 
 def is_complete_mapping(group: Group, sigma: Sequence[int]) -> bool:
     p = _check_perm(sigma, group.n, "sigma")
-    mul = group.mul
-    seen = 0
-    for g in range(group.n):
-        bit = 1 << mul(g, p[g])
-        if seen & bit:
-            return False
-        seen |= bit
-    return True
+    return is_partial_transversal(cayley_square(group), enumerate(p))[0]
 
 
 def _abelianized_product_is_identity(group: Group) -> bool:

@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import io
 import json
 import os
@@ -776,3 +777,10 @@ def test_help_lists_every_argument_of_the_table(capsys, command):
         assert ("{" + ",".join(choices) + "}" if choices else name) in out
     for flag, (_, _, choices, _, text) in options.items():
         assert flag in out and text in out and all(choice in out for choice in choices or ())
+
+
+def test_each_handler_takes_the_fields_of_its_command():
+    assert cli.HANDLERS.keys() == cli.COMMANDS.keys()
+    for command, (_, positionals, options) in cli.COMMANDS.items():
+        fields = {name for name, _, _ in positionals} | {dest for dest, *_ in options.values()}
+        assert set(inspect.signature(cli.HANDLERS[command]).parameters) == fields, command

@@ -1,7 +1,7 @@
 import pytest
 
 import ntk
-from ntk import cli, construction
+from ntk import cli, construction, mappings
 from ntk.catalog import _s3_times_cyclic, builtin_catalog
 from ntk.construction import BRANCH_COMPLETE_MAPPING, BRANCH_CONSTRUCTION
 from ntk.errors import InvalidOrdering, NotApplicable
@@ -316,6 +316,21 @@ def test_near_transversal_runs_sylow2_once(monkeypatch, spec):
 def test_cli_runs_sylow2_once(monkeypatch, capsys, command):
     calls = _count_sylow2_calls(monkeypatch, construction, cli)
     assert cli.main([command, "S3 x Z3"]) == 0
+    assert len(calls) == 1
+
+
+def test_analyze_tests_one_subgroup(monkeypatch, capsys):
+    # decompose's Burnside check only: the fixed part it builds is a
+    # subgroup, and analyze lifts its ordering without testing that again
+    calls = []
+
+    def counting(group, members):
+        calls.append(group)
+        return is_subgroup(group, members)
+
+    for module in (construction, mappings):
+        monkeypatch.setattr(module, "is_subgroup", counting)
+    assert cli.main(["analyze", "Z2038", "--format", "json"]) == 0
     assert len(calls) == 1
 
 
