@@ -1,14 +1,16 @@
 """Command-line surface.
 
 ``COMMANDS`` is the one table of the six commands, their positionals and
-the options each reads. ``parse_args`` reads an argv by it with argparse's
-rules: ``--opt value`` or ``--opt=value``, a long option shortened to a
-unique prefix, options before, between or after the positionals, the last
-of a repeated option counting, and ``--`` ending the options. Help
-(``-h``/``--help``) is built from the same table; a usage error writes a
-``usage:`` line and ``ntk <command>: error: ...`` to stderr. argparse itself
-is not imported: each ``ntk`` call is a fresh process, which would pay for
-importing it and building a parser per command.
+the options each reads. ``parse_args`` reads an argv by it with one of two
+readers. An ordinary argv (the command first, each option an exact flag
+with its value next or after ``=``, no other argument starting with ``-``,
+the positionals all there, every value valid) is read by the short
+``_fields``. Everything else goes to argparse, built from the same table
+by ``_argparser``: help (``-h``/``--help``), shortened options, ``--``,
+negative numbers and every usage error, which writes argparse's ``usage:``
+line and ``ntk <command>: error: ...`` to stderr. argparse is imported
+only then: each ``ntk`` call is a fresh process, and importing argparse
+and gettext costs more than the rest of parsing an ordinary argv.
 
 ``main`` calls the command's handler in ``HANDLERS`` with the parsed fields
 as keywords, so a handler's parameters are its positionals' names and its
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
@@ -276,173 +277,85 @@ COMMANDS = {
 }
 HANDLERS = {"analyze": cmd_analyze, "construct": cmd_construct, "verify": cmd_verify,
             "oracle": cmd_oracle, "render": cmd_render, "catalog": cmd_catalog}
-_HELP = ("-h", "--help")
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")   # read as a positional, as argparse does
 
 
-def _metavar(name: str, choices) -> str:
-    return "{" + ",".join(choices) + "}" if choices else name
-
-
-def _usage(command: str | None) -> str:
-    if command is None:
-        return f"ntk [-h] {_metavar('command', COMMANDS)} ..."
+def _fields(command: str, args: list[str]) -> dict | None:
+    """The fields of ``command`` read from the arguments after it, or None
+    unless every option is an exact flag of its table with its value next
+    (not starting with ``-``) or after ``=``, no other argument starts with
+    ``-``, the positionals are exactly as many as the table's, ints convert
+    and choices hold. Every argv it reads, argparse reads the same way."""
     _, positionals, options = COMMANDS[command]
-    return " ".join([f"ntk {command} [-h]"]
-                    + [f"[{flag} {_metavar(dest.upper(), choices)}]"
-                       for flag, (dest, _, choices, _, _) in options.items()]
-                    + [_metavar(name, choices) for name, choices, _ in positionals])
-
-
-def _help(command: str | None) -> str:
-    options = [("-h, --help", "show this help message and exit")]
-    if command is None:
-        description = ("Near transversals of group-based latin squares: "
-                       "construct, verify, render, and cross-check with oracles.")
-        sections = {"commands": [(name, entry[0]) for name, entry in COMMANDS.items()]}
-    else:
-        description, positionals, flags = COMMANDS[command]
-        sections = {"positional arguments": [(_metavar(name, choices), text)
-                                             for name, choices, text in positionals]}
-        options += [(f"{flag} {_metavar(dest.upper(), choices)}", text)
-                    for flag, (dest, _, choices, _, text) in flags.items()]
-    sections["options"] = options
-    width = max(len(left) for rows in sections.values() for left, _ in rows) + 2
-    lines = [f"usage: {_usage(command)}", "", description]
-    for title, rows in sections.items():
-        if rows:
-            lines += ["", f"{title}:"] + [f"  {left:<{width}}{text}" for left, text in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _refuse(command: str | None, message: str):
-    prog = f"ntk {command}" if command else "ntk"
-    sys.stderr.write(f"usage: {_usage(command)}\n{prog}: error: {message}\n")
-    raise SystemExit(EXIT_USAGE)
-
-
-def _show_help(command: str | None, flag: str, explicit: str | None):
-    """-h/--help: print help and exit 0. A value attached to it is refused,
-    except more h's after a single dash (``-hh``)."""
-    if explicit is None or (flag == "-h" and explicit and not explicit.strip("h")):
-        sys.stdout.write(_help(command))
-        raise SystemExit(EXIT_OK)
-    _refuse(command, f"argument -h/--help: ignored explicit argument {explicit!r}")
-
-
-def _classify(command: str | None, arg: str, flags) -> tuple | None:
-    """How argparse read ``arg`` ahead of any ``--``: None for a positional,
-    else (the flag it names or None for an unknown option, its attached value
-    or None). A long option may be shortened to any unique prefix."""
-    if not arg.startswith("-") or arg == "-":
-        return None
-    if arg in flags:
-        return arg, None
-    name, eq, value = arg.partition("=")
-    if eq and name in flags:
-        return name, value
-    if arg[1] == "-":
-        matches = [flag for flag in flags if flag.startswith(name)]
-        if len(matches) > 1:
-            _refuse(command, f"ambiguous option: {arg} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], value if eq else None
-    elif arg[:2] == "-h":
-        return "-h", arg[2:]
-    return None if _NEGATIVE.match(arg) or " " in arg else (None, None)
-
-
-def _parse_command(command: str, args: list[str]) -> dict:
-    """The fields of ``command`` read from the arguments after it. Each
-    positional takes one argument; a ``--`` next to it is dropped."""
-    _, positionals, options = COMMANDS[command]
-    flags = dict.fromkeys(_HELP) | options
-    found = {}
-    kinds = ""
-    for i, arg in enumerate(args):
-        if arg == "--":       # everything after it is positional
-            kinds += "-" + "A" * (len(args) - i - 1)
-            break
-        hit = _classify(command, arg, flags)
-        if hit is not None:
-            found[i] = hit
-        kinds += "A" if hit is None else "O"
-    parsed = {"command": command, **{dest: default for dest, _, _, default, _ in options.values()}}
-    waiting = list(positionals)
-    extras = []
-
-    def take_positionals(start: int) -> int:
-        for count in range(len(waiting), 0, -1):
-            match = re.match("(-*A-*)" * count, kinds[start:])
-            if match:
-                for (name, choices, _), taken in zip(waiting, match.groups()):
-                    value = args[start + taken.index("A")]
-                    if choices and value not in choices:
-                        _refuse(command, f"argument {name}: invalid choice: {value!r}")
-                    parsed[name] = value
-                    start += len(taken)
-                del waiting[:count]
-                break
-        return start
-
-    def take_option(i: int) -> int:
-        flag, explicit = found[i]
-        if flag is None:
-            extras.append(args[i])
-            return i + 1
-        if flag in _HELP:
-            _show_help(command, flag, explicit)
+    fields = {"command": command, **{dest: default for dest, _, _, default, _ in options.values()}}
+    values = []
+    rest = iter(args)
+    for arg in rest:
+        if not arg.startswith("-"):
+            values.append(arg)
+            continue
+        flag, eq, value = arg.partition("=")
+        if flag not in options:
+            return None
+        if not eq:
+            value = next(rest, "-")
+            if value.startswith("-"):
+                return None
         dest, convert, choices, _, _ = options[flag]
-        end = i + 1
-        if explicit is None:
-            if kinds[end:end + 1] != "A":
-                _refuse(command, f"argument {flag}: expected one argument")
-            explicit, end = args[end], end + 1
         try:
-            value = convert(explicit)
+            fields[dest] = convert(value)
         except ValueError:
-            _refuse(command, f"argument {flag}: invalid int value: {explicit!r}")
+            return None
+        if choices and fields[dest] not in choices:
+            return None
+    if len(values) != len(positionals):
+        return None
+    for (name, choices, _), value in zip(positionals, values):
         if choices and value not in choices:
-            _refuse(command, f"argument {flag}: invalid choice: {value!r}")
-        parsed[dest] = value
-        return end
+            return None
+        fields[name] = value
+    return fields
 
-    start = 0
-    for i in found:
-        if start < i:
-            start = take_positionals(start)
-            extras += args[start:i]
-        start = take_option(i)
-    start = take_positionals(start)
-    extras += args[start:]
-    if waiting:
-        _refuse(command, "the following arguments are required: "
-                + ", ".join(name for name, _, _ in waiting))
-    if extras:
-        _refuse(command, f"unrecognized arguments: {' '.join(extras)}")
-    return parsed
+
+def _argparser():
+    """argparse's parser for :data:`COMMANDS`, and its subparsers by command.
+    A usage error exits 1; help and usage lines are never wrapped."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def exit(self, status=0, message=None):
+            super().exit(status and EXIT_USAGE, message)
+
+    def wide(prog):
+        return argparse.HelpFormatter(prog, width=10 ** 6)
+
+    parser = Parser(prog="ntk", formatter_class=wide,
+                    description="Near transversals of group-based latin squares: "
+                                "construct, verify, render, and cross-check with oracles.")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (text, positionals, options) in COMMANDS.items():
+        sub = commands.add_parser(command, help=text, description=text, formatter_class=wide)
+        for name, choices, help in positionals:
+            sub.add_argument(name, choices=choices, help=help)
+        for flag, (dest, convert, choices, default, help) in options.items():
+            sub.add_argument(flag, dest=dest, type=convert, choices=choices, default=default,
+                             help=help)
+    return parser, commands.choices
 
 
 def parse_args(argv: list[str]) -> dict:
     """The command and the values of its arguments, read from ``argv`` by the
-    rules of :data:`COMMANDS`. Help exits 0 and a usage error exits 1, both
-    through :class:`SystemExit`, after writing to stdout or stderr."""
-    unknown = []
-    for i, arg in enumerate(argv):
-        hit = None if arg == "--" else _classify(None, arg, _HELP)
-        if hit is None:
-            if arg not in COMMANDS:
-                _refuse(None, f"argument command: invalid choice: {arg!r}")
-            parsed = _parse_command(arg, argv[i + 1:])
-            if unknown:
-                _refuse(arg, f"unrecognized arguments: {' '.join(unknown)}")
-            return parsed
-        flag, explicit = hit
-        if flag is None:
-            unknown.append(arg)
-        else:
-            _show_help(None, flag, explicit)
-    _refuse(None, "the following arguments are required: command")
+    rules of :data:`COMMANDS`: by :func:`_fields` when it can, else by
+    argparse. Help exits 0 and a usage error exits 1, both through
+    :class:`SystemExit`, after writing to stdout or stderr."""
+    fields = _fields(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
+    if fields is None:
+        parser, subparsers = _argparser()
+        fields = vars(parser.parse_args(argv))
+        command = fields["command"]
+        for flag, (dest, *_) in COMMANDS[command][2].items():
+            if isinstance(fields[dest], list):  # argparse 3.10/3.11 reads --opt=-- as []
+                subparsers[command].error(f"argument {flag}: expected one argument")
+    return fields
 
 
 def main(argv: list[str] | None = None) -> int:

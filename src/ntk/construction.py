@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Sequence
 
-from .errors import InvalidOrdering, NotApplicable, StructureViolation
+from .errors import InvalidOrdering, NotApplicable, OrderTooLarge, StructureViolation
 from .groups import (
     CYCLIC_NONTRIVIAL,
     Group,
@@ -229,7 +229,9 @@ def near_transversal(group: Group, *,
 
     Dispatch: cyclic nontrivial Sylow 2-subgroup runs the ladder
     construction; odd order takes the identity complete mapping; non-cyclic
-    Sylow searches for a complete mapping (guarded). The complete-mapping
+    Sylow searches for a complete mapping (guarded); past the guard, D_n and
+    Dic_n with even n take the closed form their constructor stored, and any
+    other group raises :class:`OrderTooLarge`. The complete-mapping
     branches drop the last diagonal cell of the full transversal; they take
     no ordering, so one given for them raises :class:`InvalidOrdering`.
     """
@@ -259,7 +261,13 @@ def near_transversal(group: Group, *,
     if n % 2 == 1:
         sigma: Sequence[int] | None = tuple(range(n))
     else:
-        sigma = find_complete_mapping(group, guard=guard)
+        try:
+            sigma = find_complete_mapping(group, guard=guard)
+        except OrderTooLarge:
+            closed_form = group._cache.get("complete_mapping")
+            if closed_form is None:
+                raise
+            sigma = closed_form()
         if sigma is None:
             raise StructureViolation(
                 "no complete mapping found for a group whose Sylow 2-subgroup "

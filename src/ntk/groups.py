@@ -406,7 +406,20 @@ def dihedral(n: int, gens: tuple[str, str] = ("r", "s")) -> Group:
 
     names = [_concat_words((_pow_word(sg, j), _pow_word(rg, i)))
              for j in range(2) for i in range(n)]
-    return _group(2 * n, 0, names, f"D{n}", mul=mul)
+    group = _group(2 * n, 0, names, f"D{n}", mul=mul)
+    if n % 2 == 0:
+        group._cache["complete_mapping"] = functools.partial(_dihedral_mapping, n)
+    return group
+
+
+def _dihedral_mapping(n: int) -> tuple[int, ...]:
+    """A complete mapping of D_n for even n, with h = n/2: r^i -> r^i and
+    s r^i -> s r^(1-i) for i < h, r^i -> s r^(1-i) and s r^i -> r^i for
+    i >= h. Their products r^(2i), r^(1-2i), s r^(1-2i) and s r^(2i) meet
+    the even and the odd rotations and reflections once each."""
+    h = n // 2
+    flip = [n + (1 - i) % n for i in range(n)]
+    return (*range(h), *flip[h:], *flip[:h], *range(h, n))
 
 
 def dicyclic(n: int, gens: tuple[str, str] = ("a", "x")) -> Group:
@@ -426,7 +439,20 @@ def dicyclic(n: int, gens: tuple[str, str] = ("a", "x")) -> Group:
 
     names = [_concat_words((_pow_word(ag, i), xg if j else "1"))
              for j in range(2) for i in range(two_n)]
-    return _group(4 * n, 0, names, f"Dic{n}", mul=mul)
+    group = _group(4 * n, 0, names, f"Dic{n}", mul=mul)
+    if n % 2 == 0:
+        group._cache["complete_mapping"] = functools.partial(_dicyclic_mapping, n)
+    return group
+
+
+def _dicyclic_mapping(n: int) -> tuple[int, ...]:
+    """A complete mapping of Dic_n for even n: a^i -> a^i and
+    a^i x -> a^(n-1-i) x for i < n, a^i -> a^i x and a^i x -> a^(n-1-i) for
+    i >= n. Their products a^(2i), a^(2i+1), a^(2i) x and a^(2i-n+1) x meet
+    the even and the odd powers of a, without and with x, once each."""
+    two_n = 2 * n
+    rev = [(n - 1 - i) % two_n for i in range(two_n)]
+    return (*range(n), *range(two_n + n, 2 * two_n), *(two_n + r for r in rev[:n]), *rev[n:])
 
 
 def symmetric(n: int) -> Group:

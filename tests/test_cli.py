@@ -475,12 +475,22 @@ def test_no_route_imports_numpy(tmp_path):
     assert "(x*a)*y != x*(a*y)" in proc.stderr
 
 
+# the argv shapes of ordinary calls, the benchmark's among them: each is
+# read by the short reader, without argparse
+_ORDINARY_ARGV = [["construct", "Z6"], ["construct", "S3 x Z167", "--format", "json"],
+                  ["verify", "D505", "--format=json"],
+                  ["oracle", "completemapping", "Z2 x Z4", "--format", "json"],
+                  ["catalog", "--max-order", "200", "--format", "json"]]
+
+
 def test_import_and_construct_load_neither_argparse_nor_gettext():
     # pytest has loaded both already, so the calls are made in a fresh process
-    script = ("import sys, ntk.cli; assert ntk.cli.main(['construct', 'Z6']) == 0; "
+    script = ("import json, sys, ntk.cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert ntk.cli.main(argv) == 0, argv\n"
               "print(sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(_ORDINARY_ARGV)],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "[]\n"
 
@@ -762,6 +772,9 @@ def test_double_dash_after_equals_is_a_value(capsys):
                  ["construct", "Z6", "--format=--"]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and not out and "Traceback" not in err, argv
+    # refused by the subcommand's own parser, naming the option
+    err = run(capsys, "catalog", "--max-order=--")[2]
+    assert err.splitlines()[-1].startswith("ntk catalog: error: argument --max-order")
 
 
 @pytest.mark.parametrize("command", [None, *cli.COMMANDS])

@@ -4,7 +4,7 @@ import ntk
 from ntk import cli, construction, mappings
 from ntk.catalog import _s3_times_cyclic, builtin_catalog
 from ntk.construction import BRANCH_COMPLETE_MAPPING, BRANCH_CONSTRUCTION
-from ntk.errors import InvalidOrdering, NotApplicable
+from ntk.errors import InvalidOrdering, NotApplicable, OrderTooLarge
 from ntk.groups import CYCLIC_NONTRIVIAL, is_subgroup
 from ntk.groupspec import parse_group_spec
 
@@ -289,6 +289,37 @@ def test_non_cyclic_sylow_uses_search():
     assert len(result.cells) == 7
     ok, _ = ntk.is_partial_transversal(ntk.cayley_square(group), result.cells)
     assert ok
+
+
+def test_closed_forms_are_complete_mappings_to_the_order_cap():
+    # D_n and Dic_n with even n, up to order 2048; with odd n their Sylow
+    # 2-subgroup is cyclic and no complete mapping exists
+    for build, top in ((ntk.dihedral, 1024), (ntk.dicyclic, 512)):
+        for n in range(1, top + 1):
+            group = build(n)
+            closed_form = group._cache.get("complete_mapping")
+            if n % 2:
+                assert closed_form is None, group.label
+            else:
+                assert mappings.is_complete_mapping(group, closed_form()), group.label
+
+
+def test_closed_form_only_past_the_guard():
+    # within the guard the search keeps its lexicographically first mapping
+    for group in (ntk.dihedral(4), ntk.dihedral(6), ntk.dicyclic(2), ntk.dicyclic(4)):
+        first = mappings.find_complete_mapping(group)
+        assert first != group._cache["complete_mapping"](), group.label
+        assert ntk.near_transversal(group).cells == tuple(enumerate(first))[:-1]
+    # past it, D and Dic with even n take their closed form; S4 has none
+    for group, guard in ((ntk.dihedral(4), 4), (ntk.dihedral(10), None),
+                         (ntk.dicyclic(6), None), (ntk.dihedral(1024), None),
+                         (ntk.dicyclic(512), None)):
+        sigma = group._cache["complete_mapping"]()
+        result = ntk.near_transversal(group, guard=guard)
+        assert result.branch == BRANCH_COMPLETE_MAPPING
+        assert result.cells == tuple(enumerate(sigma))[:-1], group.label
+    with pytest.raises(OrderTooLarge):
+        ntk.near_transversal(ntk.symmetric(4))
 
 
 def _count_sylow2_calls(monkeypatch, *modules):
