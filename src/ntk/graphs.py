@@ -87,16 +87,21 @@ def induced_subgraph(square: LatinSquare, cells: Sequence[Cell]) -> LabeledGraph
 
 def max_independent_set(graph: LabeledGraph, *,
                         guard: int | None = None) -> tuple[int, tuple[Cell, ...]]:
-    """Exact maximum independent set, by exhaustive branching with a memo.
+    """Exact maximum independent set, in two passes: its size α by
+    reductions, then a witness by replaying a fixed branching rule.
 
-    Splits the vertex set into connected components and branches on a
-    maximum-degree vertex of each (take it, or leave it out); once every
-    degree in a component drops to 2 the remainder is a disjoint union of
-    paths and cycles and is solved in closed form. There is no bound: the
-    search stays exact by solving each vertex set that it meets once, in a
-    memo local to the call. The result depends on the vertex set alone, so
-    the memo changes neither the size nor the witness. Guarded by vertex
-    count.
+    α of a vertex set does not depend on how it is found, so ``alpha`` may
+    use any exact rule: it takes vertices of degree at most 1 (each lies in
+    some maximum set) until none is left, adds up connected components,
+    counts a connected remainder of degree 2, a cycle, as half its length
+    rounded down, and otherwise branches on a vertex of maximum degree,
+    with a memo local to the call. The replay splits the vertex set into
+    components, branches on the lowest-index vertex of maximum degree, and
+    solves a component of degree at most 2 (paths and cycles) in closed
+    form. At each branch it compares α with the vertex taken and α with it
+    left out, takes the vertex on a tie, and follows that branch alone, so
+    the witness is the one an exhaustive search by the same rule returns.
+    Guarded by vertex count.
     """
     n = len(graph.vertices)
     ensure_within("independent_set", n, guard, error=TooLarge)
@@ -120,6 +125,45 @@ def max_independent_set(graph: LabeledGraph, *,
             frontier = grow & mask & ~comp
             comp |= frontier
         return comp
+
+    def densest(mask: int) -> tuple[int, int]:
+        # the lowest-index vertex of maximum degree in mask, and its degree
+        pick, pick_deg, todo = -1, -1, mask
+        while todo:
+            v = (todo & -todo).bit_length() - 1
+            todo ^= 1 << v
+            d = (adj[v] & mask).bit_count()
+            if d > pick_deg:
+                pick, pick_deg = v, d
+        return pick, pick_deg
+
+    sizes: dict[int, int] = {0: 0}
+
+    def alpha(mask: int) -> int:
+        if mask in sizes:
+            return sizes[mask]
+        key, size, todo = mask, 0, mask
+        while todo:
+            v = (todo & -todo).bit_length() - 1
+            todo ^= 1 << v
+            near = adj[v] & mask
+            if mask >> v & 1 and not near & (near - 1):  # degree at most 1
+                mask &= ~(near | 1 << v)
+                size += 1
+                if near:
+                    todo |= adj[near.bit_length() - 1] & mask
+        comp = component(mask)
+        if comp != mask:
+            size += alpha(comp) + alpha(mask ^ comp)
+        elif mask:
+            pick, pick_deg = densest(mask)
+            if pick_deg <= 2:
+                size += mask.bit_count() // 2
+            else:
+                size += max(alpha(mask & ~(adj[pick] | 1 << pick)) + 1,
+                            alpha(mask & ~(1 << pick)))
+        sizes[key] = size
+        return size
 
     def solve_sparse(mask: int) -> tuple[int, int]:
         # every vertex in mask has degree <= 2: paths and cycles
@@ -153,32 +197,20 @@ def max_independent_set(graph: LabeledGraph, *,
             best_size += take
         return best_size, chosen
 
-    solved: dict[int, tuple[int, int]] = {0: (0, 0)}
-
     def solve(mask: int) -> tuple[int, int]:
-        if mask in solved:
-            return solved[mask]
         comp = component(mask)
         if comp != mask:
             s1, c1 = solve(comp)
             s2, c2 = solve(mask ^ comp)
-            best = s1 + s2, c1 | c2
-        else:
-            pick, pick_deg, todo = -1, -1, mask
-            while todo:
-                v = (todo & -todo).bit_length() - 1
-                todo ^= 1 << v
-                d = (adj[v] & mask).bit_count()
-                if d > pick_deg:
-                    pick, pick_deg = v, d
-            if pick_deg <= 2:
-                best = solve_sparse(mask)
-            else:
-                s_in, c_in = solve(mask & ~(adj[pick] | (1 << pick)))
-                s_out, c_out = solve(mask & ~(1 << pick))
-                best = (s_in + 1, c_in | 1 << pick) if s_in + 1 >= s_out else (s_out, c_out)
-        solved[mask] = best
-        return best
+            return s1 + s2, c1 | c2
+        pick, pick_deg = densest(mask)
+        if pick_deg <= 2:
+            return solve_sparse(mask)
+        inside = mask & ~(adj[pick] | 1 << pick)
+        if alpha(inside) + 1 >= alpha(mask & ~(1 << pick)):
+            size, chosen = solve(inside)
+            return size + 1, chosen | 1 << pick
+        return solve(mask & ~(1 << pick))
 
     size, chosen = solve(full)
     witness = tuple(graph.vertices[v] for v in bits(chosen))

@@ -691,7 +691,7 @@ def _read_rows(text: str, what: str) -> tuple[list[list[int]], list[str]]:
         n = int(lines[0])
     except ValueError:
         raise NotLatin(f"first line must be the order, got {lines[0]!r}") from None
-    if n < 0:
+    if n < 1:
         raise NotLatin(f"first line must be a positive order, got {lines[0]!r}")
     if len(lines) < n + 1:
         raise NotLatin(f"expected {n} {what} rows, found {len(lines) - 1}")

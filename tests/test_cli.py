@@ -426,6 +426,14 @@ def test_table_negative_order_is_refused(capsys, tmp_path):
     assert "first line must be a positive order" in err
 
 
+def test_table_zero_order_is_refused(capsys, tmp_path):
+    path = tmp_path / "zero.txt"
+    path.write_text("0\n")
+    code, out, err = run(capsys, "construct", f"table:{path}")
+    assert code == 1 and not out and _one_error_line(err)
+    assert "first line must be a positive order, got '0'" in err
+
+
 def test_ladder_path_holds_no_table_at_the_order_cap(capsys):
     # construct and verify read O(n) products through Group.mul; the n x n
     # table of Z2046 or D1023 alone would take tens of MB

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 import ntk
 from ntk.catalog import _s3_times_cyclic, builtin_catalog
 from ntk.errors import DuplicateCell, TooLarge
-from ntk.graphs import COLUMN, ROW, SYMBOL
+from ntk.graphs import COLUMN, ROW, SYMBOL, LabeledGraph
 from ntk.groups import CYCLIC_NONTRIVIAL
 from ntk.groupspec import parse_group_spec
+from ntk.guards import ensure_within
+from ntk.latin import Cell
 
 
 def witness_for(group):
@@ -379,8 +381,10 @@ def test_mis_matches_networkx_on_drawn_subgraphs(data):
 
 # (size, witness) of max_independent_set on each ladder witness graph: to Z20
 # and Dic3 as the solver gave them before it kept a memo of solved vertex
-# sets, the rest (the largest graphs of the benchmark) as the memo solver
-# gave them before its bit loops were inlined
+# sets, Z22 to S3 x Z5 (the largest graphs of the benchmark) as the memo
+# solver gave them before its bit loops were inlined, and Z2 to S3 x Z3 (the
+# rest of the benchmark's 29) as the memo solver gave them before the size
+# was found apart from the witness
 LADDER_MIS = {
     "Z6": (5, ((0, 0), (5, 5), (4, 4), (3, 2), (2, 1))),
     "Z8": (7, ((0, 0), (1, 1), (2, 2), (7, 7), (3, 4), (4, 5), (5, 6))),
@@ -427,6 +431,31 @@ LADDER_MIS = {
                  (15, 15), (25, 10), (16, 16), (26, 11), (17, 17), (27, 12), (18, 18),
                  (28, 13), (19, 19), (29, 14), (20, 25), (10, 20), (21, 26), (11, 21),
                  (22, 27), (12, 22), (23, 28), (13, 23), (24, 29), (14, 24))),
+    "Z2": (1, ((0, 0),)),
+    "Z4": (3, ((0, 0), (3, 3), (1, 2))),
+    "D1": (1, ((0, 0),)),
+    "D3": (5, ((0, 0), (1, 1), (4, 5), (2, 4), (5, 2))),
+    "D5": (9, ((0, 0), (1, 1), (6, 9), (2, 2), (7, 8), (4, 6), (9, 4), (3, 7), (8, 3))),
+    "D7": (13, ((0, 0), (1, 1), (8, 13), (2, 2), (9, 12), (3, 3), (10, 11), (6, 8), (13, 6),
+                (5, 9), (12, 5), (4, 10), (11, 4))),
+    "D9": (17, ((0, 0), (1, 1), (10, 17), (2, 2), (11, 16), (3, 3), (12, 15), (4, 4),
+                (13, 14), (8, 10), (17, 8), (7, 11), (16, 7), (6, 12), (15, 6), (5, 13),
+                (14, 5))),
+    "D11": (21, ((0, 0), (1, 1), (12, 21), (2, 2), (13, 20), (3, 3), (14, 19), (4, 4),
+                 (15, 18), (5, 5), (16, 17), (10, 12), (21, 10), (9, 13), (20, 9), (8, 14),
+                 (19, 8), (7, 15), (18, 7), (6, 16), (17, 6))),
+    "D13": (25, ((0, 0), (1, 1), (14, 25), (2, 2), (15, 24), (3, 3), (16, 23), (4, 4),
+                 (17, 22), (5, 5), (18, 21), (6, 6), (19, 20), (12, 14), (25, 12), (11, 15),
+                 (24, 11), (10, 16), (23, 10), (9, 17), (22, 9), (8, 18), (21, 8), (7, 19),
+                 (20, 7))),
+    "D15": (29, ((0, 0), (1, 1), (16, 29), (2, 2), (17, 28), (3, 3), (18, 27), (4, 4),
+                 (19, 26), (5, 5), (20, 25), (6, 6), (21, 24), (7, 7), (22, 23), (14, 16),
+                 (29, 14), (13, 17), (28, 13), (12, 18), (27, 12), (11, 19), (26, 11),
+                 (10, 20), (25, 10), (9, 21), (24, 9), (8, 22), (23, 8))),
+    "Dic1": (3, ((0, 0), (3, 3), (2, 1))),
+    "S3 x Z3": (17, ((0, 0), (4, 4), (2, 2), (3, 1), (1, 5), (9, 9), (15, 6), (10, 10),
+                     (16, 7), (11, 11), (17, 8), (12, 15), (6, 12), (13, 16), (7, 13),
+                     (14, 17), (8, 14))),
 }
 
 
@@ -435,6 +464,136 @@ def test_mis_on_ladder_witness_graphs_unchanged(spec):
     group, _ = parse_group_spec(spec)
     graph = ntk.induced_subgraph(ntk.cayley_square(group), witness_for(group).all_cells)
     assert ntk.max_independent_set(graph) == LADDER_MIS[spec]
+
+
+@pytest.mark.parametrize("spec", ["Z42", "Dic9", "Z2 x Z21"])
+def test_mis_matches_reference_past_the_guard(spec):
+    group, _ = parse_group_spec(spec)
+    graph = ntk.induced_subgraph(ntk.cayley_square(group), witness_for(group).all_cells)
+    assert ntk.max_independent_set(graph, guard=100) == _reference_mis(graph, guard=100)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 26), st.floats(0, 1), st.randoms(use_true_random=False))
+def test_mis_matches_reference_on_random_graphs(n, density, rng):
+    edges = tuple((u, v, ROW) for u, v in itertools.combinations(range(n), 2)
+                  if rng.random() < density)
+    graph = LabeledGraph(tuple((v, v) for v in range(n)), edges)
+    assert ntk.max_independent_set(graph) == _reference_mis(graph)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mis_matches_reference_on_drawn_cells(data):
+    group = data.draw(st.sampled_from([e.group for e in builtin_catalog(8)]))
+    all_cells = list(itertools.product(range(group.n), repeat=2))
+    cells = data.draw(st.lists(st.sampled_from(all_cells), unique=True, max_size=40))
+    graph = ntk.induced_subgraph(ntk.cayley_square(group), cells)
+    assert ntk.max_independent_set(graph) == _reference_mis(graph)
+
+
+# ---------------------------------------------------------------------------
+# max_independent_set as it was before it found the size apart from the
+# witness, kept only as the reference that the solver is compared with
+
+def _reference_mis(graph: LabeledGraph, *,
+                   guard: int | None = None) -> tuple[int, tuple[Cell, ...]]:
+    """Exact maximum independent set, by exhaustive branching with a memo.
+
+    Splits the vertex set into connected components and branches on a
+    maximum-degree vertex of each (take it, or leave it out); once every
+    degree in a component drops to 2 the remainder is a disjoint union of
+    paths and cycles and is solved in closed form. There is no bound: the
+    search stays exact by solving each vertex set that it meets once, in a
+    memo local to the call. The result depends on the vertex set alone, so
+    the memo changes neither the size nor the witness. Guarded by vertex
+    count.
+    """
+    n = len(graph.vertices)
+    ensure_within("independent_set", n, guard, error=TooLarge)
+    adj = graph.adjacency_masks()
+    full = (1 << n) - 1
+
+    def bits(mask: int):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    def component(mask: int) -> int:
+        comp = frontier = mask & -mask
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & mask & ~comp
+            comp |= frontier
+        return comp
+
+    def solve_sparse(mask: int) -> tuple[int, int]:
+        # every vertex in mask has degree <= 2: paths and cycles
+        best_size, chosen = 0, 0
+        remaining = mask
+        while remaining:
+            comp = component(remaining)
+            remaining &= ~comp
+            members = list(bits(comp))
+            degs = {v: (adj[v] & comp).bit_count() for v in members}
+            ends = [v for v in members if degs[v] <= 1]
+            if ends:
+                start = min(ends)  # path (or isolated vertex)
+                is_cycle = False
+            else:
+                start = min(members)
+                is_cycle = True
+            order = [start]
+            seen = 1 << start
+            while True:
+                nxt = adj[order[-1]] & comp & ~seen
+                if not nxt:
+                    break
+                v = (nxt & -nxt).bit_length() - 1
+                order.append(v)
+                seen |= 1 << v
+            count = len(order)
+            take = count // 2 if is_cycle else (count + 1) // 2
+            for i in range(take):
+                chosen |= 1 << order[2 * i]
+            best_size += take
+        return best_size, chosen
+
+    solved: dict[int, tuple[int, int]] = {0: (0, 0)}
+
+    def solve(mask: int) -> tuple[int, int]:
+        if mask in solved:
+            return solved[mask]
+        comp = component(mask)
+        if comp != mask:
+            s1, c1 = solve(comp)
+            s2, c2 = solve(mask ^ comp)
+            best = s1 + s2, c1 | c2
+        else:
+            pick, pick_deg, todo = -1, -1, mask
+            while todo:
+                v = (todo & -todo).bit_length() - 1
+                todo ^= 1 << v
+                d = (adj[v] & mask).bit_count()
+                if d > pick_deg:
+                    pick, pick_deg = v, d
+            if pick_deg <= 2:
+                best = solve_sparse(mask)
+            else:
+                s_in, c_in = solve(mask & ~(adj[pick] | (1 << pick)))
+                s_out, c_out = solve(mask & ~(1 << pick))
+                best = (s_in + 1, c_in | 1 << pick) if s_in + 1 >= s_out else (s_out, c_out)
+        solved[mask] = best
+        return best
+
+    size, chosen = solve(full)
+    witness = tuple(graph.vertices[v] for v in bits(chosen))
+    return size, witness
 
 
 # ---------------------------------------------------------------------------
