@@ -17,8 +17,8 @@ as keywords, so a handler's parameters are its positionals' names and its
 options' destinations in the table.
 
 Exit codes: 0 verified/ok or help, 1 usage or parse problem or stdout
-closed early, 2 verification failure, 3 search guard exceeded. Everything
-is deterministic.
+closed early, 2 verification failure, 3 a search guard or bound exceeded.
+Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -143,10 +143,9 @@ def cmd_analyze(spec: str, format: str) -> int:
     return EXIT_OK
 
 
-def cmd_construct(spec: str, format: str, ordering: str | None, guard: int | None) -> int:
+def cmd_construct(spec: str, format: str, ordering: str | None) -> int:
     group, label = parse_group_spec(spec)
-    result = construction.near_transversal(
-        group, ordering=_parse_ordering(group, ordering), guard=guard)
+    result = construction.near_transversal(group, ordering=_parse_ordering(group, ordering))
     payload = construction.result_json(result, label)
     if format == "json":
         _emit(payload, format)
@@ -203,16 +202,15 @@ def cmd_oracle(which: str, spec: str, format: str, guard: int | None) -> int:
     return EXIT_OK
 
 
-def cmd_render(spec: str, format: str, ordering: str | None, guard: int | None) -> int:
+def cmd_render(spec: str, format: str, ordering: str | None) -> int:
     group, _ = parse_group_spec(spec)
-    result = construction.near_transversal(
-        group, ordering=_parse_ordering(group, ordering), guard=guard)
+    result = construction.near_transversal(group, ordering=_parse_ordering(group, ordering))
     model = render.render_model(result)
     _write(render.latex_table(model) if format == "latex" else render.ascii_table(model))
     return EXIT_OK
 
 
-def cmd_catalog(format: str, guard: int | None, max_order: int, filter: str) -> int:
+def cmd_catalog(format: str, max_order: int, filter: str) -> int:
     if max_order > MAX_SPEC_ORDER:
         raise InvalidInput(f"--max-order {max_order} beyond the supported {MAX_SPEC_ORDER}")
     if max_order < 1:
@@ -229,7 +227,7 @@ def cmd_catalog(format: str, guard: int | None, max_order: int, filter: str) -> 
             continue
         head = f"{entry.label:<12} order={group.n:<4}"
         try:
-            result = construction.near_transversal(group, guard=guard)
+            result = construction.near_transversal(group)
             ok = result.witness is None or graphs.check_witness(result.witness)["passed"]
             counts["passed" if ok else "failed"] += 1
             lines.append(f"{head} branch={result.branch:<17} {'pass' if ok else 'FAIL'}")
@@ -259,7 +257,7 @@ COMMANDS = {
     "analyze": ("order, Sylow-2 class, decomposition parameters", (_SPEC,),
                 {"--format": _FORMAT}),
     "construct": ("emit a verified near transversal", (_SPEC,),
-                  {"--format": _FORMAT, "--ordering": _ORDERING, "--guard-override": _GUARD}),
+                  {"--format": _FORMAT, "--ordering": _ORDERING}),
     "verify": ("run the structural witness checks", (_SPEC,),
                {"--format": _FORMAT, "--ordering": _ORDERING}),
     "oracle": ("exhaustive baselines for cross-checking",
@@ -268,9 +266,9 @@ COMMANDS = {
                {"--format": _FORMAT, "--guard-override": _GUARD}),
     "render": ("print the table with witness cells marked", (_SPEC,),
                {"--format": ("format", str, ("ascii", "latex"), "ascii", "output format"),
-                "--ordering": _ORDERING, "--guard-override": _GUARD}),
+                "--ordering": _ORDERING}),
     "catalog": ("run construct+verify across the built-in catalog", (),
-                {"--format": _FORMAT, "--guard-override": _GUARD,
+                {"--format": _FORMAT,
                  "--max-order": ("max_order", int, None, 20, "largest group order to run"),
                  "--filter": ("filter", str, ("all", "odd", "even", "construction"), "all",
                               "which groups to run")}),

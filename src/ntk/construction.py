@@ -41,11 +41,14 @@ from .groups import (
     is_subgroup,
     sylow2,
 )
-from .latin import Cell, cayley_square, is_partial_transversal
-from .mappings import _checked_ordering, find_complete_mapping
+from .latin import Cell, _search, cayley_square, is_partial_transversal
+from .mappings import _checked_ordering
 
 BRANCH_CONSTRUCTION = "construction"
 BRANCH_COMPLETE_MAPPING = "complete-mapping"
+# Even orders off the ladder branch up to this take the search's first complete
+# mapping, as construct always printed; past it a search can take minutes (D12).
+SEARCH_ORDER = 16
 
 
 Decomposition = namedtuple(
@@ -223,15 +226,14 @@ def extract_near_transversal(witness: Witness) -> tuple[Cell, ...]:
 
 
 def near_transversal(group: Group, *,
-                     ordering: Sequence[int] | None = None,
-                     guard: int | None = None) -> ConstructionResult:
+                     ordering: Sequence[int] | None = None) -> ConstructionResult:
     """A verified near transversal of the group's multiplication table.
 
     Dispatch: cyclic nontrivial Sylow 2-subgroup runs the ladder
-    construction; odd order takes the identity complete mapping; non-cyclic
-    Sylow searches for a complete mapping (guarded); past the guard, D_n and
-    Dic_n with even n take the closed form their constructor stored, and any
-    other group raises :class:`OrderTooLarge`. The complete-mapping
+    construction; odd order takes the identity complete mapping; else up to
+    :data:`SEARCH_ORDER` the search kernel's first complete mapping, past it
+    the closed form the constructor stored (D_n and Dic_n with even n), and
+    any other group raises :class:`OrderTooLarge`. The complete-mapping
     branches drop the last diagonal cell of the full transversal; they take
     no ordering, so one given for them raises :class:`InvalidOrdering`.
     """
@@ -260,19 +262,17 @@ def near_transversal(group: Group, *,
         )
     if n % 2 == 1:
         sigma: Sequence[int] | None = tuple(range(n))
+    elif n <= SEARCH_ORDER:
+        sigma = _search(group.table, pin=True)  # a group table's columns are regular
+    elif "complete_mapping" in group._cache:
+        sigma = group._cache["complete_mapping"]()
     else:
-        try:
-            sigma = find_complete_mapping(group, guard=guard)
-        except OrderTooLarge:
-            closed_form = group._cache.get("complete_mapping")
-            if closed_form is None:
-                raise
-            sigma = closed_form()
-        if sigma is None:
-            raise StructureViolation(
-                "no complete mapping found for a group whose Sylow 2-subgroup "
-                "is trivial or non-cyclic; this contradicts the classification"
-            )
+        raise OrderTooLarge(
+            f"no closed-form complete mapping for a group of order {n} > {SEARCH_ORDER}; to "
+            f"search for one, run `ntk oracle completemapping <spec> --guard-override {n}`")
+    if sigma is None:
+        raise StructureViolation("no complete mapping found for a group whose Sylow 2-subgroup "
+                                 "is trivial or non-cyclic; this contradicts the classification")
     cells = tuple((g, sigma[g]) for g in range(n - 1))
     ok, violation = is_partial_transversal(cayley_square(group), cells)
     if not ok:

@@ -30,7 +30,9 @@ class NotPermutation(NtkError):
 
 
 class OrderTooLarge(NtkError):
-    """An exhaustive search was requested beyond its configured guard."""
+    """An oracle's exhaustive search was requested beyond its guard, or
+    ``near_transversal`` met a group above its search order that has no
+    closed form (its message names the oracle call that searches)."""
 
 
 class TooLarge(NtkError):

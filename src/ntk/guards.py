@@ -1,10 +1,10 @@
-"""Search guards for the exhaustive oracles.
+"""Search guards for the exhaustive oracles, and for nothing else.
 
-Guards are soft configuration values, not hard limits: every guarded
-operation takes an explicit override (``--guard-override`` on the CLI).
-Exceeding a guard raises :class:`~ntk.errors.OrderTooLarge` (or
+Guards are soft configuration values, not hard limits: every oracle takes
+an explicit override (``guard=``; ``ntk oracle --guard-override`` on the
+CLI). Exceeding a guard raises :class:`~ntk.errors.OrderTooLarge` (or
 ``TooLarge`` for the vertex-count guard of the exact independent-set
-solver).
+solver). ``near_transversal`` calls no guarded oracle.
 """
 
 from .errors import OrderTooLarge

@@ -87,6 +87,22 @@ def test_construct_bad_ordering(capsys):
     assert "harmonious" in err or "ordering" in err
 
 
+def test_permutation_that_is_not_harmonious_is_refused(capsys):
+    # Z10's fixed part is {1, c2, c4, c6, c8}; 1·c4 = c6·c8 = c4
+    for command in ("construct", "verify"):
+        code, out, err = run(capsys, command, "Z10", "--ordering", "1,c4,c2,c6,c8")
+        assert code == 1 and not out and _one_error_line(err), command
+        assert "ordering is not harmonious" in err
+        assert run(capsys, command, "Z10", "--ordering", "1,c2,c4,c6,c8")[0] == 0, command
+
+
+@pytest.mark.parametrize("spec", ["Z0", "D0", "Dic0", "S0", "Z2 x Z0"])
+def test_zero_parameter_atom_is_refused(capsys, spec):
+    code, out, err = run(capsys, "construct", spec)
+    assert code == 1 and not out and _one_error_line(err)
+    assert "must be positive" in err
+
+
 def test_empty_ordering_is_refused(capsys):
     for command in ("construct", "verify"):
         for argv in ([command, "Z6", "--ordering", ""], [command, "Z6", "--ordering="]):
@@ -204,6 +220,28 @@ def test_guard_override_flag(capsys):
     assert json.loads(out)["count"] > 0
 
 
+def test_guard_override_is_the_oracles_alone(capsys):
+    assert [command for command, (_, _, options) in cli.COMMANDS.items()
+            if "--guard-override" in options] == ["oracle"]
+    for argv in (["construct", "S4"], ["render", "S4"], ["catalog"]):
+        code, out, err = run(capsys, *argv, "--guard-override", "24")
+        assert code == 1 and not out, argv
+        lines = err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("usage: ntk"), argv
+        assert lines[1] == "ntk: error: unrecognized arguments: --guard-override 24", argv
+
+
+def test_construct_past_the_search_order_names_the_oracle_call(capsys):
+    for command in ("construct", "render"):
+        code, out, err = run(capsys, command, "S4")
+        assert code == 3 and not out and _one_error_line(err), command
+        assert "run `ntk oracle completemapping <spec> --guard-override 24`" in err
+    # the call the message names finds S4's complete mapping
+    code, out, _ = run(capsys, "oracle", "completemapping", "S4", "--guard-override", "24",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["present"] is True
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "analyze", "Q8")
     assert code == 1
@@ -282,6 +320,57 @@ def test_catalog_odd_filter_uses_mapping_branch(capsys):
     for line in out.splitlines():
         if "branch=" in line:
             assert "complete-mapping" in line
+
+
+def test_catalog_filters_select_by_order_parity_and_sylow_class(capsys):
+    entries = builtin_catalog(30)
+    code, out, _ = run(capsys, "catalog", "--max-order", "30")
+    assert code == 0
+    every = dict(zip([e.label for e in entries], out.splitlines()))
+    selected = {
+        "odd": [e.label for e in entries if e.group.n % 2 == 1],
+        "even": [e.label for e in entries if e.group.n % 2 == 0],
+        "construction": [e.label for e in entries
+                         if ntk.sylow2(e.group).classification == "cyclic-nontrivial"],
+    }
+    assert all(selected.values())
+    assert all("branch=construction" in every[label] for label in selected["construction"])
+    for filter, labels in selected.items():
+        code, out, _ = run(capsys, "catalog", "--max-order", "30", "--filter", filter)
+        assert code == 0, filter
+        lines = [every[label] for label in labels]
+        skipped = sum(line.endswith("skipped (guard)") for line in lines)  # S4, even order
+        assert out.splitlines() == [
+            *lines, f"passed={len(lines) - skipped} failed=0 skipped={skipped}"], filter
+
+
+def _fail_every_cell_check(monkeypatch):
+    monkeypatch.setattr(construction, "is_partial_transversal",
+                        lambda square, cells: (False, "planted violation"))
+
+
+def test_failed_output_check_exits_2(capsys, monkeypatch):
+    _fail_every_cell_check(monkeypatch)
+    for spec in ("Z6", "Z5", "D4"):   # the ladder, odd order and the search
+        code, out, err = run(capsys, "construct", spec)
+        assert code == 2 and not out, spec
+        assert err == ("verification failure: cells are not a partial transversal: "
+                       "planted violation\n"), spec
+
+
+def test_catalog_counts_a_failed_output_check_and_exits_2(capsys, monkeypatch):
+    _fail_every_cell_check(monkeypatch)
+    entries = builtin_catalog(8)
+    code, out, _ = run(capsys, "catalog", "--max-order", "8")
+    assert code == 2
+    assert out.splitlines() == [
+        *(f"{e.label:<12} order={e.group.n:<4} FAIL (cells are not a partial transversal: "
+          "planted violation)" for e in entries),
+        f"passed=0 failed={len(entries)} skipped=0"]
+    code, out, _ = run(capsys, "catalog", "--max-order", "8", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["summary"] == {"groups": len(entries), "passed": 0,
+                                          "failed": len(entries), "skipped": 0}
 
 
 def test_catalog_json(capsys):
@@ -660,7 +749,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help, *, spec=True, which=None, ordering=False, guard=True,
+    def command(name, help, *, spec=True, which=None, ordering=False, guard=False,
                 formats=("text", "json")):
         p = sub.add_parser(name, help=help)
         if which:
@@ -676,11 +765,11 @@ def build_parser():
                            help="raise/lower the search guards for this invocation")
         return p
 
-    command("analyze", "order, Sylow-2 class, decomposition parameters", guard=False)
+    command("analyze", "order, Sylow-2 class, decomposition parameters")
     command("construct", "emit a verified near transversal", ordering=True)
-    command("verify", "run the structural witness checks", ordering=True, guard=False)
+    command("verify", "run the structural witness checks", ordering=True)
     command("oracle", "exhaustive baselines for cross-checking",
-            which=["transversal", "count", "maxpartial", "completemapping"])
+            which=["transversal", "count", "maxpartial", "completemapping"], guard=True)
     command("render", "print the table with witness cells marked", ordering=True,
             formats=("ascii", "latex"))
     cat = command("catalog", "run construct+verify across the built-in catalog", spec=False)

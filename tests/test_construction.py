@@ -311,14 +311,13 @@ def test_closed_form_only_past_the_guard():
         assert first != group._cache["complete_mapping"](), group.label
         assert ntk.near_transversal(group).cells == tuple(enumerate(first))[:-1]
     # past it, D and Dic with even n take their closed form; S4 has none
-    for group, guard in ((ntk.dihedral(4), 4), (ntk.dihedral(10), None),
-                         (ntk.dicyclic(6), None), (ntk.dihedral(1024), None),
-                         (ntk.dicyclic(512), None)):
+    for group in (ntk.dihedral(10), ntk.dicyclic(6), ntk.dihedral(1024), ntk.dicyclic(512)):
         sigma = group._cache["complete_mapping"]()
-        result = ntk.near_transversal(group, guard=guard)
+        result = ntk.near_transversal(group)
         assert result.branch == BRANCH_COMPLETE_MAPPING
         assert result.cells == tuple(enumerate(sigma))[:-1], group.label
-    with pytest.raises(OrderTooLarge):
+    with pytest.raises(OrderTooLarge,
+                       match="run `ntk oracle completemapping <spec> --guard-override 24`"):
         ntk.near_transversal(ntk.symmetric(4))
 
 
