@@ -219,7 +219,12 @@ def extract_near_transversal(witness: Witness) -> tuple[Cell, ...]:
     n = dec.group.n
     if len(cells) != n - 1:
         raise StructureViolation(f"extracted {len(cells)} cells, expected {n - 1}")
-    ok, violation = is_partial_transversal(cayley_square(dec.group), cells)
+    return _checked_cells(dec.group, cells)
+
+
+def _checked_cells(group: Group, cells: Sequence[Cell]) -> tuple[Cell, ...]:
+    """``cells`` as a tuple, once the output check has passed them."""
+    ok, violation = is_partial_transversal(cayley_square(group), cells)
     if not ok:
         raise StructureViolation(f"cells are not a partial transversal: {violation}")
     return tuple(cells)
@@ -273,14 +278,10 @@ def near_transversal(group: Group, *,
     if sigma is None:
         raise StructureViolation("no complete mapping found for a group whose Sylow 2-subgroup "
                                  "is trivial or non-cyclic; this contradicts the classification")
-    cells = tuple((g, sigma[g]) for g in range(n - 1))
-    ok, violation = is_partial_transversal(cayley_square(group), cells)
-    if not ok:
-        raise StructureViolation(f"cells are not a partial transversal: {violation}")
     return ConstructionResult(
         group=group,
         branch=BRANCH_COMPLETE_MAPPING,
-        cells=cells,
+        cells=_checked_cells(group, [(g, sigma[g]) for g in range(n - 1)]),
         k=k,
         l=n // k,
     )

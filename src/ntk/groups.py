@@ -390,21 +390,20 @@ def cyclic(n: int, gen: str = "c") -> Group:
     return _group(n, 0, names, f"Z{n}", mul=lambda g, h: (g + h) % n)
 
 
-def dihedral(n: int, gens: tuple[str, str] = ("r", "s")) -> Group:
+def dihedral(n: int) -> Group:
     """Dihedral group of order ``2n``: r of order n, s of order 2, srs = r^-1.
 
     Element ``j*n + i`` is the word s^j r^i.
     """
     if n < 1:
         raise ValueError("order parameter must be positive")
-    rg, sg = gens
 
     def mul(g, h):
         j, i = divmod(g, n)
         jh, ih = divmod(h, n)
         return (j ^ jh) * n + (ih - i if jh else i + ih) % n
 
-    names = [_concat_words((_pow_word(sg, j), _pow_word(rg, i)))
+    names = [_concat_words((_pow_word("s", j), _pow_word("r", i)))
              for j in range(2) for i in range(n)]
     group = _group(2 * n, 0, names, f"D{n}", mul=mul)
     if n % 2 == 0:
@@ -422,14 +421,13 @@ def _dihedral_mapping(n: int) -> tuple[int, ...]:
     return (*range(h), *flip[h:], *flip[:h], *range(h, n))
 
 
-def dicyclic(n: int, gens: tuple[str, str] = ("a", "x")) -> Group:
+def dicyclic(n: int) -> Group:
     """Dicyclic group of order ``4n``: a of order 2n, x^2 = a^n, xax^-1 = a^-1.
 
     Element ``j*2n + i`` is the word a^i x^j.
     """
     if n < 1:
         raise ValueError("order parameter must be positive")
-    ag, xg = gens
     two_n = 2 * n
 
     def mul(g, h):
@@ -437,7 +435,7 @@ def dicyclic(n: int, gens: tuple[str, str] = ("a", "x")) -> Group:
         jh, ih = divmod(h, two_n)
         return (j ^ jh) * two_n + (i - ih + n * jh if j else i + ih) % two_n
 
-    names = [_concat_words((_pow_word(ag, i), xg if j else "1"))
+    names = [_concat_words((_pow_word("a", i), "x" if j else "1"))
              for j in range(2) for i in range(two_n)]
     group = _group(4 * n, 0, names, f"Dic{n}", mul=mul)
     if n % 2 == 0:
@@ -539,6 +537,15 @@ def semidirect(k_part: Group, h_part: Group,
 
     names = _product_names(k_part.names, h_part.names)
     return _group(n, k_part.identity * nh + h_part.identity, names, label, mul=mul)
+
+
+def _twist(label: str, k_order: int, k_gen: str, h: Group, perm: tuple[int, ...]) -> Group:
+    """Z_k, generated by ``k_gen``, acting on ``h``: element i acts as the
+    i-th power of the automorphism ``perm``."""
+    acts = [tuple(range(h.n))]
+    for _ in range(k_order - 1):
+        acts.append(tuple(perm[x] for x in acts[-1]))
+    return semidirect(cyclic(k_order, k_gen), h, acts, label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
-"""The group-spec grammar used by the CLI.
+"""The group-spec grammar: the one place where a label becomes a group,
+for the CLI and for the catalog, which lists labels.
 
     Z<n>        cyclic of order n
     D<n>        dihedral of order 2n
     Dic<n>      dicyclic of order 4n
     S<n>        symmetric on n points
     A x B       direct product (whitespace around the x optional)
-    A4, He3, Z7:Z3, ...               a catalog label that names no product,
-                                      as a whole spec (``catalog.NAMED_GROUPS``)
+    A4, He3, Z7:Z3, ...               a named twisted group of the catalog,
+                                      as a whole spec (:data:`NAMED_GROUPS`)
     table:<path>                      load a multiplication table file
     sd:<Kspec>,<Hspec>,<actionpath>   twisted product; the action file has
                                       |K| lines, each a permutation of
@@ -23,18 +24,44 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
+from functools import partial
 from math import factorial
 from pathlib import Path
 
-from .catalog import NAMED_GROUPS
 from .errors import InvalidAction, ParseError
-from .groups import Group, cyclic, dicyclic, dihedral, direct_product, load_group, semidirect, symmetric
+from .groups import (Group, _twist, cyclic, dicyclic, dihedral, direct_product, load_group,
+                     semidirect, symmetric)
 
 # Orders past this point are outside the intended desk scale.
 MAX_SPEC_ORDER = 2048
 
 _ATOM = re.compile(r"^(dic|z|d|s)(\d+)$", re.IGNORECASE)
 
+
+def _cyclic_twist(k_order: int, h_order: int, factor: int, label: str) -> Group:
+    scaling = tuple((factor * i) % h_order for i in range(h_order))
+    return _twist(label, k_order, "b", cyclic(h_order, "c"), scaling)
+
+
+# label -> (order, builder) of each named twisted group, read as a whole spec
+NAMED_GROUPS = {
+    # t rotates the three involutions: u -> v -> uv -> u
+    "A4": (12, lambda: _twist("A4", 3, "t", direct_product(cyclic(2, "u"), cyclic(2, "v")),
+                              (0, 3, 1, 2))),
+    # s inverts every element
+    "Dih(Z3xZ3)": (18, lambda: _twist("Dih(Z3xZ3)", 2, "s", direct_product(
+        cyclic(3, "c"), cyclic(3, "d")), (0, 2, 1, 6, 8, 7, 3, 5, 4))),
+    "F20": (20, partial(_cyclic_twist, 4, 5, 2, "F20")),
+    "Z7:Z3": (21, partial(_cyclic_twist, 3, 7, 2, "Z7:Z3")),
+    "Z8:Z3": (24, partial(_cyclic_twist, 8, 3, 2, "Z8:Z3")),
+    # x acts by y -> yz, z -> z; every non-identity element has order 3
+    "He3": (27, lambda: _twist("He3", 3, "x", direct_product(
+        cyclic(3, "y"), cyclic(3, "z")), (0, 1, 2, 4, 5, 3, 8, 6, 7))),
+    "Z4:Z7": (28, partial(_cyclic_twist, 4, 7, 6, "Z4:Z7")),
+    "Z4:Z9": (36, partial(_cyclic_twist, 4, 9, 8, "Z4:Z9")),
+    "Z16:Z3": (48, partial(_cyclic_twist, 16, 3, 2, "Z16:Z3")),
+    "Z8:Z17": (136, partial(_cyclic_twist, 8, 17, 2, "Z8:Z17")),
+}
 _NAMED = {label.lower(): label for label in NAMED_GROUPS}
 
 # atom kind -> (label prefix, constructor, order of the group it builds)
@@ -74,10 +101,11 @@ def _parse_product(text: str, offset: int) -> tuple[Group, str]:
               for chunk, pos in parts]
     group, label = groups[0]
     for other, other_label in groups[1:]:
+        order = group.n * other.n
+        if order > MAX_SPEC_ORDER:
+            raise ParseError(f"product order {order} beyond {MAX_SPEC_ORDER}", offset)
         label = f"{label} x {other_label}"
         group = direct_product(group, other, label=label)
-        if group.n > MAX_SPEC_ORDER:
-            raise ParseError(f"product order {group.n} beyond {MAX_SPEC_ORDER}", offset)
     return group, label
 
 

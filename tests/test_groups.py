@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ntk
-from ntk import catalog, groups
+from ntk import catalog, groups, groupspec
 from ntk.catalog import builtin_catalog
 from ntk.errors import InvalidAction, NoIdentity, NotAssociative, NotLatin
 from ntk.groups import CYCLIC_NONTRIVIAL, NON_CYCLIC, TRIVIAL
@@ -318,15 +318,18 @@ def test_catalog_products_match_their_rules(monkeypatch):
             return out
         return wrapper
 
-    monkeypatch.setattr(catalog, "direct_product", recording(groups.direct_product))
-    monkeypatch.setattr(catalog, "semidirect", recording(groups.semidirect))
+    # products are built in the grammar and the S3xZ<q> builder, twists in groups._twist
+    direct, semi = groups.direct_product, groups.semidirect
+    monkeypatch.setattr(groupspec, "direct_product", recording(direct))
+    monkeypatch.setattr(catalog, "direct_product", recording(direct))
+    monkeypatch.setattr(groups, "semidirect", recording(semi))
     catalog.builtin_catalog.__wrapped__(200)
-    assert {build for build, _, _ in calls} == {groups.direct_product, groups.semidirect}
+    assert {build for build, _, _ in calls} == {direct, semi}
     for build, args, out in calls:
         a, b = args[:2]
         nb = b.n
         for x1, y1, x2, y2 in itertools.product(range(a.n), range(nb), range(a.n), range(nb)):
-            if build is groups.direct_product:
+            if build is direct:
                 expected = a.table[x1][x2] * nb + b.table[y1][y2]
             else:
                 # (k1, h1) * (k2, h2) = (k1*k2, action[inv(k2)](h1) * h2)

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import ntk
-from ntk.catalog import NAMED_GROUPS, builtin_catalog
+from ntk import groupspec
+from ntk.catalog import builtin_catalog
 from ntk.errors import InvalidAction, ParseError
-from ntk.groupspec import parse_group_spec
+from ntk.groupspec import NAMED_GROUPS, parse_group_spec
 
 
 def test_atoms():
@@ -21,13 +27,15 @@ def test_case_and_whitespace_insensitive():
 
 
 def test_every_catalog_label_is_a_spec():
-    # a label the grammar reads as a product (Z2xZ2, S3xZ3) gives that direct
-    # product with the grammar's element names; every other label gives the
-    # catalog's own group
+    # every label names the catalog's own group, except S3xZ<q>: the grammar
+    # reads it as the direct product S3 x Z<q>, while the catalog checks the
+    # presentation Z2 twisted over Z<q> x Z3
     for entry in builtin_catalog(200):
         group, label = parse_group_spec(entry.label)
-        if "x" in entry.label and entry.label not in NAMED_GROUPS:
+        if entry.label.startswith("S3xZ"):
             assert (group.n, label) == (entry.group.n, entry.label.replace("x", " x "))
+        elif "x" in entry.label and entry.label not in NAMED_GROUPS:
+            assert (group, label) == (entry.group, entry.label.replace("x", " x "))
         else:
             assert (group, label) == (entry.group, entry.label)
     assert parse_group_spec(" dih(z3xz3) ") == (dict(builtin_catalog(18))["Dih(Z3xZ3)"],
@@ -55,6 +63,33 @@ def test_empty_spec():
 def test_order_cap():
     with pytest.raises(ParseError, match="order"):
         parse_group_spec("Z5000")
+
+
+def test_product_beyond_the_cap_is_refused_before_it_is_built(monkeypatch):
+    build = groupspec.direct_product
+
+    def bounded(a, b, label=""):
+        assert a.n * b.n <= groupspec.MAX_SPEC_ORDER, (a.n, b.n)
+        return build(a, b, label=label)
+
+    monkeypatch.setattr(groupspec, "direct_product", bounded)
+    for spec, order in (("Z2048 x Z2048", 2048 * 2048), ("S6 x S6", 720 * 720),
+                        ("Z64 x Z32 x Z2", 4096)):
+        with pytest.raises(ParseError, match=f"product order {order} beyond 2048") as err:
+            parse_group_spec(spec)
+        assert err.value.position == 0
+    assert parse_group_spec("Z64 x Z32")[0].n == 2048
+
+
+def test_the_grammar_does_not_load_the_catalog():
+    src = str(Path(ntk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = "import sys, ntk.groupspec; print('ntk.catalog' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_table_spec(tmp_path):
