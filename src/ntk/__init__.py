@@ -42,6 +42,7 @@ from .groups import (
     element_orders,
     group_from_table,
     group_from_text,
+    index2_subgroups,
     load_group,
     order_signature,
     save_group,

@@ -47,7 +47,9 @@ from .mappings import _checked_ordering
 BRANCH_CONSTRUCTION = "construction"
 BRANCH_COMPLETE_MAPPING = "complete-mapping"
 # Even orders off the ladder branch up to this take the search's first complete
-# mapping, as construct always printed; past it a search can take minutes (D12).
+# mapping, as construct always printed. The search would now find one for D12
+# in milliseconds, but a larger bound would change what construct prints for
+# D10 and the groups after it, which take their closed form.
 SEARCH_ORDER = 16
 
 
@@ -268,7 +270,8 @@ def near_transversal(group: Group, *,
     if n % 2 == 1:
         sigma: Sequence[int] | None = tuple(range(n))
     elif n <= SEARCH_ORDER:
-        sigma = _search(group.table, pin=True)  # a group table's columns are regular
+        square = cayley_square(group)  # a group table's columns are regular
+        sigma = _search(square.cells, pin=True, blocks=square.blocks)
     elif "complete_mapping" in group._cache:
         sigma = group._cache["complete_mapping"]()
     else:

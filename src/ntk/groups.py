@@ -32,7 +32,9 @@ through :func:`group_from_table`. Names are checked on every route.
 Structural facts are computed once and checked over generators: element
 orders and inverses are cached on the group on first use, and subgroup
 tests and closures grow a set by right products with a generating set,
-which is exact in a finite group and costs O(|S|) per generator.
+which is exact in a finite group and costs O(|S|) per generator. The
+subgroups of index 2, which the latin search kernel cuts by, are cached
+too; they are read off G modulo its squares by linear algebra over Z2.
 """
 
 from __future__ import annotations
@@ -651,6 +653,39 @@ def commutator_subgroup(group: Group, members: Iterable[int] | None = None) -> f
     return subgroup_closure(group, comms)
 
 
+def index2_subgroups(group: Group) -> tuple[frozenset[int], ...]:
+    """Every subgroup of index 2, computed on first use and cached on the group.
+
+    They are the kernels of the nonzero homomorphisms G -> Z2. Each one
+    vanishes on the squares, so it factors through Q = G/S with S generated
+    by the g^2; every element of Q squares to 1, so Q is elementary abelian,
+    a vector space over Z2 of some dimension d. Greedy generators of Q
+    outside S give each element its coordinates: a new generator x doubles
+    the span H reached so far by H -> Hx, which flips x's coordinate. The
+    2^d - 1 nonzero linear forms f then give the kernels
+    ``{g : f(g) = 0}``, in the order of f read as a d-bit integer. A group
+    of odd order has none.
+    """
+    if group.n % 2:
+        return ()
+    cached = group._cache.get("index2")
+    if cached is None:
+        mul = group.mul
+        coords = dict.fromkeys(subgroup_closure(group, {mul(g, g) for g in group.elements()}), 0)
+        bit = 1
+        for x in group.elements():
+            if x not in coords:
+                coords.update([(mul(h, x), v | bit) for h, v in coords.items()])
+                bit <<= 1
+        forms = [(f, []) for f in range(1, bit)]
+        for g, v in coords.items():
+            for f, members in forms:
+                if not (v & f).bit_count() & 1:
+                    members.append(g)
+        cached = group._cache["index2"] = tuple(frozenset(members) for _, members in forms)
+    return cached
+
+
 def sylow2(group: Group) -> SylowReport:
     """Classify the Sylow 2-subgroup: trivial, cyclic-nontrivial, non-cyclic.
 
@@ -688,9 +723,14 @@ def group_to_text(group: Group) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_rows(text: str, what: str) -> tuple[list[list[int]], list[str]]:
+def _read_rows(text: str, what: str) -> tuple[list[tuple[int, ...]], list[str]]:
     """The n integer rows under the order line and the lines after them, for
-    the table and square formats; ``what`` names the file in messages."""
+    the table and square formats; ``what`` names the file in messages.
+
+    Each row is one C-level gather from ``pool``, which maps the plain
+    spelling of each int in [0, n) to it; a row with any other token
+    ("07", "-1", "x") is read by ``int`` token by token, as before.
+    """
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise NotLatin(f"empty {what} file")
@@ -702,12 +742,18 @@ def _read_rows(text: str, what: str) -> tuple[list[list[int]], list[str]]:
         raise NotLatin(f"first line must be a positive order, got {lines[0]!r}")
     if len(lines) < n + 1:
         raise NotLatin(f"expected {n} {what} rows, found {len(lines) - 1}")
+    pool = {str(i): i for i in range(n)}
     rows = []
     for line in lines[1:n + 1]:
+        tokens = line.split()
         try:
-            rows.append(list(map(int, line.split())))
-        except ValueError:
-            raise NotLatin(f"row {len(rows)} has a non-integer entry: {line!r}") from None
+            # itemgetter of one item returns it bare
+            rows.append(itemgetter(*tokens)(pool) if len(tokens) > 1 else (pool[tokens[0]],))
+        except KeyError:
+            try:
+                rows.append(tuple(map(int, tokens)))
+            except ValueError:
+                raise NotLatin(f"row {len(rows)} has a non-integer entry: {line!r}") from None
     return rows, lines[n + 1:]
 
 

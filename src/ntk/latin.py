@@ -19,6 +19,16 @@ times the count of the column-0 subtree, and whenever some leaf covers row
 The oracles pin only when ``_column_regular`` finds such a row-fixing
 autotopism for every column, which holds on every group table and every
 isotope of one.
+
+The kernel also cuts by blocks. A subgroup N of index 2 splits a group's
+table into four n/2 x n/2 blocks by whether the row and the column lie in
+N, and g*h lies in N iff both or neither do. If a transversal has x cells
+in the block (N, N), the rows in N leave n/2 - x for (N, not N), the
+columns in N n/2 - x for (not N, N), and the symbols in N n/2 - x for
+(not N, not N); the n cells sum to 3n/2 - 2x = n, so every block holds
+x = n/4 of them. A Cayley square carries one split per subgroup of index 2,
+and a search for whole transversals cuts every child that puts n/4 + 1
+cells in a block, and stops at once when 4 does not divide n.
 """
 
 from __future__ import annotations
@@ -29,20 +39,27 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInput, NotLatin, NotPermutation
 from .guards import ensure_within
-from .groups import Group, _check_columns, _latin_rows, _read_rows
+from .groups import Group, _check_columns, _latin_rows, _read_rows, index2_subgroups
 
 Cell = tuple[int, int]
 
 ROLES = ("row", "column", "symbol")
 
 
-class LatinSquare(namedtuple("LatinSquare", "n symbol read_cells")):
+class LatinSquare(namedtuple("LatinSquare", "n symbol read_cells read_blocks",
+                             defaults=(tuple,))):
     """A latin square of order ``n``.
 
     ``symbol(r, c)`` is the symbol in cell (r, c) and ``cells`` holds the
     rows, which ``read_cells()`` returns. A Cayley square answers
     ``symbol`` with its group's product and reads ``cells`` from the group's
     table, which is built only then.
+
+    ``blocks``, which ``read_blocks()`` returns, holds ``(row_mask,
+    col_mask)`` bit masks that split the square into four n/2 x n/2
+    subsquares, the two on its diagonal over one half of the symbols; the
+    search kernel cuts by them. A Cayley square has one split per subgroup
+    of index 2, found only then; any other square has none.
     """
 
     __slots__ = ()
@@ -50,6 +67,10 @@ class LatinSquare(namedtuple("LatinSquare", "n symbol read_cells")):
     @property
     def cells(self) -> Sequence[Sequence[int]]:
         return self.read_cells()
+
+    @property
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        return self.read_blocks()
 
 
 class Violation(namedtuple("Violation", "kind first second")):
@@ -79,8 +100,13 @@ def _square(rows: tuple[tuple[int, ...], ...]) -> LatinSquare:
 
 
 def cayley_square(group: Group) -> LatinSquare:
-    """The multiplication table of ``group`` viewed as a latin square."""
-    return LatinSquare(group.n, group.mul, lambda: group.table)
+    """The multiplication table of ``group`` viewed as a latin square, split
+    by each subgroup N of index 2: g*h lies in N iff g and h both do or
+    both do not."""
+    def blocks():
+        masks = (sum(1 << g for g in members) for members in index2_subgroups(group))
+        return tuple((mask, mask) for mask in masks)
+    return LatinSquare(group.n, group.mul, lambda: group.table, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +192,8 @@ def _column_regular(rows: Sequence[Sequence[int]]) -> bool:
 
 
 def _search(rows: Sequence[Sequence[int]], skips: int = 0, count: bool = False,
-            pin: bool = False) -> tuple[int | None, ...] | int | None:
+            pin: bool = False, blocks: Sequence[tuple[int, int]] = ()
+            ) -> tuple[int | None, ...] | int | None:
     """Partial transversals of the square whose rows are ``rows``.
 
     Branches row-major, each row on ascending columns first and then, while
@@ -179,15 +206,36 @@ def _search(rows: Sequence[Sequence[int]], skips: int = 0, count: bool = False,
     A node at row r is one int whose n-bit field i (bits i*n to i*n + n - 1)
     holds the candidate columns of row r + i, those whose column and symbol
     are both still free. Picking (r, c) is one ``&`` with a mask packed the
-    same way. The one cut: more later rows have an empty field than
+    same way. The forward cut: more later rows have an empty field than
     ``skips`` can still leave uncovered. Adding 2^(n-1) - 1 to a field's
     lower n - 1 bits carries into its top bit iff they are not all zero, so
     an add, an or and a mask leave one bit per non-empty field. A cut on
     free columns out of reach of every later row is left out: it visits
     fewer nodes but needs the union of all fields at each node, and the
-    search without it takes about half the time. The cut removes only
-    subtrees without a leaf and the branching order is the plain row-major
-    one, so the first leaf and the count are those of the unpruned search.
+    search without it takes about half the time.
+
+    The block cut, with ``skips=0`` only: each ``(row_mask, col_mask)`` in
+    ``blocks`` splits the square into four n/2 x n/2 blocks, (in, in),
+    (in, out), (out, in) and (out, out) by whether the row and the column
+    are in the masks, where (in, in) and (out, out) hold the same n/2
+    symbols (in a group table, rows, columns and symbols in a subgroup N of
+    index 2). Every transversal takes n/4 cells from each block:
+
+        let x be its number of cells in (in, in); the n/2 rows in the mask
+        give n/2 - x cells in (in, out), the n/2 columns in the mask give
+        n/2 - x in (out, in), and the n/2 symbols of (in, in) give n/2 - x
+        in (out, out); the n cells sum to 3n/2 - 2x = n, so x = n/4.
+
+    So with 4 not dividing n there is no leaf, and else a child that puts
+    n/4 + 1 cells in a block is cut. The count of each block is a field of
+    one int kept next to the node int, started so that n/4 + 1 sets the
+    field's top bit; a pick adds one to the field of the block it lands in,
+    in every split. A partial transversal need not split evenly, so with
+    ``skips`` the blocks are not read.
+
+    Both cuts remove only subtrees without a leaf and the branching order
+    is the plain row-major one, so the first leaf and the count are those
+    of the unpruned search.
 
     With ``pin=True`` row 0 tries only column 0 (and, with ``skips``, may
     still be left uncovered); nothing else changes. On a square where
@@ -206,12 +254,30 @@ def _search(rows: Sequence[Sequence[int]], skips: int = 0, count: bool = False,
     # (r, c) is picked, made on first use so that a search that ends early
     # builds few
     keep: list[list[int | None]] = [[None] * n for _ in range(n)]
+    # steps[r][c]: what picking (r, c) adds to the block counters
+    tally, tops, steps = 0, 0, [[0] * n] * n
+    if blocks and not skips:
+        if n % 4:
+            return 0 if count else None
+        width = (n // 4 + 1).bit_length() + 1  # bits per block counter
+        quad = (1 << 4 * width) - 1  # the four counters of one split
+        fields = sum(1 << i * width for i in range(4 * len(blocks)))
+        tally = ((1 << width - 1) - 1 - n // 4) * fields
+        tops = fields << width - 1
+        # in split j, counter 4j + 2*(row in half) + (column in half)
+        row_part = [sum(1 << (4 * j + 2 * (row_mask >> r & 1)) * width
+                        for j, (row_mask, _) in enumerate(blocks)) for r in range(n)]
+        col_part = [sum(quad << 4 * j * width
+                        for j, (_, col_mask) in enumerate(blocks) if col_mask >> c & 1)
+                    for c in range(n)]
+        shift = (1 << width) - 1  # moves a counter bit to the next counter
+        steps = [[part + (part & cols) * shift for cols in col_part] for part in row_part]
 
-    def dfs(r: int, avail: int, skips: int) -> int:
+    def dfs(r: int, avail: int, skips: int, tally: int) -> int:
         if r == n:
             return 1
         found = 0
-        keep_r = keep[r]
+        keep_r, steps_r = keep[r], steps[r]
         later = n - 1 - r  # rows after r
         rest, todo = avail >> n, avail & full
         while todo:
@@ -226,17 +292,19 @@ def _search(rows: Sequence[Sequence[int]], skips: int = 0, count: bool = False,
             if ((((after & low_bits) + low_bits) | after)
                     & top_bits).bit_count() + skips < later:
                 continue
+            if (counted := tally + steps_r[c]) & tops:
+                continue
             picked[r] = c
-            found += dfs(r + 1, after, skips)
+            found += dfs(r + 1, after, skips, counted)
             if found and not count:
                 return found
         if skips and ((((rest & low_bits) + low_bits) | rest)
                       & top_bits).bit_count() + skips > later:
             picked[r] = None
-            found += dfs(r + 1, rest, skips - 1)
+            found += dfs(r + 1, rest, skips - 1, tally)
         return found
 
-    found = dfs(0, full * (ones - 1) + (1 if pin else full), skips)
+    found = dfs(0, full * (ones - 1) + (1 if pin else full), skips, tally)
     if count:
         return found
     return tuple(picked) if found else None
@@ -246,7 +314,7 @@ def brute_force_transversal(square: LatinSquare, *,
                             guard: int | None = None) -> tuple[Cell, ...] | None:
     """Lexicographically first transversal, or None when none exists."""
     ensure_within("transversal", square.n, guard)
-    found = _search(square.cells, pin=_column_regular(square.cells))
+    found = _search(square.cells, pin=_column_regular(square.cells), blocks=square.blocks)
     return None if found is None else tuple(enumerate(found))
 
 
@@ -255,7 +323,7 @@ def count_transversals(square: LatinSquare, *, guard: int | None = None) -> int:
     the count through cell (0, 0) when the columns are regular."""
     ensure_within("count", square.n, guard)
     pin = _column_regular(square.cells)
-    found = _search(square.cells, count=True, pin=pin)
+    found = _search(square.cells, count=True, pin=pin, blocks=square.blocks)
     return square.n * found if pin else found
 
 
@@ -270,7 +338,7 @@ def max_partial_transversal(square: LatinSquare, *,
     ensure_within("max_partial", square.n, guard)
     pin = _column_regular(square.cells)
     skips = 0
-    while (found := _search(square.cells, skips, pin=pin)) is None:
+    while (found := _search(square.cells, skips, pin=pin, blocks=square.blocks)) is None:
         skips += 1
     cells = tuple((r, c) for r, c in enumerate(found) if c is not None)
     return len(cells), cells

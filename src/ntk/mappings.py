@@ -59,7 +59,8 @@ def find_complete_mapping(group: Group, *,
     ensure_within("complete_mapping", group.n, guard)
     if not _abelianized_product_is_identity(group):
         return None
-    return _search(group.table, pin=True)
+    square = cayley_square(group)
+    return _search(square.cells, pin=True, blocks=square.blocks)
 
 
 def _resolve_members(group: Group, subgroup: Iterable[int] | None) -> list[int]:

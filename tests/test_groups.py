@@ -1,6 +1,8 @@
 import itertools
+import re
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -197,6 +199,43 @@ def test_text_format_round_trip(tmp_path):
 def test_text_format_without_names():
     g = ntk.group_from_text("2\n0 1\n1 0\n")
     assert g.names == ("0", "1")
+
+
+def test_text_format_reads_other_spellings_of_ints():
+    g = ntk.group_from_text("2\n00 +1\n01 0\n")
+    assert g.table == ((0, 1), (1, 0))
+    with pytest.raises(NotLatin, match=r"^row 1 has length 1, expected 2$"):
+        ntk.group_from_text("2\n0 1\n1\n")
+
+
+TOKENS = ["0", "1", "2", "3", "07", "00", "+1", "-1", "1_0", "x", "1.0", "\u0663", "5", ""]
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4), st.data())
+def test_rows_read_as_int_reads_each_token(n, data):
+    # the gather from the pool of plain spellings, and the int() loop it
+    # falls back to, give the ints or the message of int() token by token
+    line = st.lists(st.sampled_from(TOKENS), min_size=1, max_size=5).map(" ".join)
+    lines = [ln.strip() or "0" for ln in data.draw(st.lists(line, min_size=n, max_size=n))]
+    try:
+        expected = [list(map(int, ln.split())) for ln in lines]
+    except ValueError:
+        bad = next(i for i, ln in enumerate(lines) if not all(_reads(t) for t in ln.split()))
+        with pytest.raises(NotLatin, match="^" + re.escape(
+                f"row {bad} has a non-integer entry: {lines[bad]!r}") + "$"):
+            groups._read_rows(f"{n}\n" + "\n".join(lines), "table")
+        return
+    rows, rest = groups._read_rows(f"{n}\n" + "\n".join(lines) + "\nnames: a", "table")
+    assert [list(row) for row in rows] == expected and rest == ["names: a"]
+
+
+def _reads(token):
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +583,44 @@ def test_is_subgroup_and_closure_on_drawn_subsets(data):
     closure = ntk.subgroup_closure(g, seed)
     assert closure == _two_sided_closure(g, seed)
     assert groups.is_subgroup(g, closure) and _closed(g, closure)
+
+
+INDEX_2_COUNTS = {"Z2 x Z2 x Z2 x Z2": 15, "D8": 3, "Dic4": 3, "Z2 x Z8": 3,
+                  "Z2 x Z2 x Z4": 7, "Z12": 1, "S4": 1, "A4": 0, "Z2": 1, "S3 x S3": 3}
+
+
+def test_index2_subgroups():
+    specs = [*INDEX_2_COUNTS, *(e.label for e in builtin_catalog(45) if e.group.n % 2)]
+    for spec in specs:
+        g = parse_group_spec(spec)[0]
+        subs = groups.index2_subgroups(g)
+        assert len(subs) == INDEX_2_COUNTS.get(spec, 0), spec
+        assert len(set(subs)) == len(subs), spec
+        for members in subs:
+            assert len(members) * 2 == g.n and groups.is_subgroup(g, members), spec
+        if g.n % 2 == 0:
+            assert groups.index2_subgroups(g) is subs, spec  # cached on the group
+
+
+def test_index2_subgroups_match_a_closure_search_to_order_16():
+    # the subgroups of index 2 are the subgroups of half the order, and one
+    # of order at most 8 is generated by at most 3 elements
+    for entry in builtin_catalog(16):
+        g = entry.group
+        found = set()
+        for seed in itertools.combinations_with_replacement(g.elements(), 3):
+            closure = ntk.subgroup_closure(g, seed)
+            if 2 * len(closure) == g.n:
+                found.add(closure)
+        assert set(groups.index2_subgroups(g)) == found, entry.label
+
+
+def test_index2_subgroups_of_a_rank_5_group_are_quick():
+    g = parse_group_spec("Z2 x Z2 x Z2 x Z2 x Z2")[0]
+    start = time.process_time()
+    subs = groups.index2_subgroups(g)
+    assert time.process_time() - start < 0.05
+    assert len(subs) == 31
 
 
 def test_commutator_subgroup():

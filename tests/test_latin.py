@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import ntk
 from ntk.catalog import builtin_catalog
 from ntk.errors import InvalidInput, NotLatin, NotPermutation, OrderTooLarge
+from ntk.groups import CYCLIC_NONTRIVIAL
 from ntk.latin import ROLES, _column_regular, _search
 
 
@@ -154,13 +155,14 @@ def _plain_search(rows, skips=0, count=False):
     return tuple(picked) if found else None
 
 
-def _assert_oracles_match_plain_search(rows, label, max_count_order=9):
+def _assert_oracles_match_plain_search(rows, label, max_count_order=9, blocks=()):
     """The kernel and the oracle wrappers, which pin row 0 on
-    column-regular squares, against the unpinned plain search."""
+    column-regular squares, against the unpinned plain search; every kernel
+    call and the oracles' square get ``blocks``."""
     n = len(rows)
-    square = ntk.latin_square(rows)
+    square = ntk.latin_square(rows)._replace(read_blocks=lambda: blocks)
     first = _plain_search(rows)
-    assert _search(rows) == first, label
+    assert _search(rows, blocks=blocks) == first, label
     assert ntk.brute_force_transversal(square) == (
         None if first is None else tuple(enumerate(first))), label
     # no first leaf means no leaf: order 10 counts without the plain count
@@ -169,20 +171,18 @@ def _assert_oracles_match_plain_search(rows, label, max_count_order=9):
     best = first if first is not None else _plain_search(rows, 1)
     cells = tuple((r, c) for r, c in enumerate(best) if c is not None)
     assert ntk.max_partial_transversal(square, guard=n) == (len(cells), cells), label
-    if n > 9:
-        return
-    assert _search(rows, count=True) == count, label
+    assert _search(rows, count=True, blocks=blocks) == count, label
     for skips in (1, 2):
-        assert _search(rows, skips) == _plain_search(rows, skips), (label, skips)
+        assert _search(rows, skips, blocks=blocks) == _plain_search(rows, skips), (label, skips)
         if n <= max_count_order:
-            assert _search(rows, skips, count=True) == _plain_search(
+            assert _search(rows, skips, count=True, blocks=blocks) == _plain_search(
                 rows, skips, count=True), (label, skips)
 
 
 def test_search_kernel_matches_plain_search_to_order_10():
-    # first leaf, transversal count and maximum partial transversal to
-    # order 10; kernel counts and first leaves with 1 or 2 uncovered rows to
-    # order 9
+    # first leaf, transversal counts, maximum partial transversal and first
+    # leaves with 1 or 2 uncovered rows to order 10; kernel counts with 1
+    # or 2 uncovered rows to order 9
     for entry in builtin_catalog(10):
         _assert_oracles_match_plain_search(entry.group.table, entry.label)
 
@@ -249,8 +249,113 @@ def test_non_group_square_is_searched_unpinned():
     _assert_oracles_match_plain_search(rows, "non-group square")
 
 
+# ---------------------------------------------------------------------------
+# the block cut: a subgroup N of index 2 splits a group table into four
+# n/2 x n/2 blocks by row and column in N, and every transversal takes n/4
+# cells from each
+
+def test_only_cayley_squares_have_blocks():
+    group = ntk.dihedral(4)
+    square = ntk.cayley_square(group)
+    assert len(square.blocks) == 3
+    assert ntk.latin_square(square.cells).blocks == ()
+    assert ntk.apply_isotopy(square, *[range(8)] * 3).blocks == ()
+
+
+def test_block_cut_leaves_partial_transversals_alone():
+    # a leaf with uncovered rows need not split evenly: D4's first leaf with
+    # two uncovered rows has 3 cells in one block, where n/4 = 2, and Z6 has
+    # leaves with one uncovered row although 4 does not divide 6
+    for group in (ntk.dihedral(4), ntk.cyclic(6)):
+        square = ntk.cayley_square(group)
+        for skips in (1, 2):
+            assert _search(square.cells, skips, blocks=square.blocks) == _plain_search(
+                square.cells, skips), (group.label, skips)
+
+
+def test_every_transversal_takes_a_quarter_of_each_block_to_order_8():
+    found = 0
+    for entry in builtin_catalog(8):
+        rows = entry.group.table
+        n = len(rows)
+        blocks = ntk.cayley_square(entry.group).blocks
+        for mask, col_mask in blocks:
+            assert mask == col_mask
+            # the diagonal blocks hold the symbols in N, the others the rest
+            assert all((mask >> rows[r][c] & 1) == ((mask >> r & 1) == (mask >> c & 1))
+                       for r in range(n) for c in range(n)), entry.label
+        for cols in itertools.permutations(range(n)):
+            if len({rows[r][c] for r, c in enumerate(cols)}) < n:
+                continue
+            for row_mask, col_mask in blocks:
+                quarters = [0] * 4
+                for r, c in enumerate(cols):
+                    quarters[2 * (row_mask >> r & 1) + (col_mask >> c & 1)] += 1
+                assert quarters == [n // 4] * 4, (entry.label, cols)
+                found += 1
+    # Z2 x Z2 has 8 transversals and 3 splits; D4, Dic2 and Z2 x Z4 have
+    # 384 and 3, Z2 x Z2 x Z2 has 384 and 7
+    assert found == 8 * 3 + 384 * (3 + 3 + 3 + 7)
+
+
+def test_block_cut_keeps_the_first_leaf_to_order_16():
+    # Groups whose Sylow 2-subgroup is cyclic and nontrivial have no
+    # transversal (Hall and Paige). Past order 10 the plain search would
+    # exhaust its tree to say so, and so would the kernel on Z16, whose one
+    # subgroup of index 2 seldom cuts; it runs for minutes.
+    for entry in builtin_catalog(16):
+        group = entry.group
+        if entry.label == "Z16":
+            continue
+        square = ntk.cayley_square(group)
+        none = group.n > 10 and ntk.sylow2(group).classification == CYCLIC_NONTRIVIAL
+        first = None if none else _plain_search(square.cells)
+        assert _search(square.cells, blocks=square.blocks) == first, entry.label
+        assert _search(square.cells, pin=True, blocks=square.blocks) == first, entry.label
+
+
+def test_block_cut_keeps_every_leaf_to_order_10():
+    # counts, pinned and unpinned, and leaves with 1 or 2 uncovered rows,
+    # which the cut leaves alone
+    for entry in builtin_catalog(10):
+        square = ntk.cayley_square(entry.group)
+        _assert_oracles_match_plain_search(square.cells, entry.label, blocks=square.blocks)
+
+
+def _moved(mask, perm):
+    """``mask`` with bit i moved to bit perm[i]."""
+    return sum(1 << perm[i] for i in range(len(perm)) if mask >> i & 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_block_cut_on_isotopes(data):
+    # the blocks follow an isotopy's rows and columns, so the cut runs on
+    # layouts where N's rows and columns are not the group's
+    entry = data.draw(st.sampled_from([e for e in builtin_catalog(10) if e.group.n % 2 == 0]))
+    n = entry.group.n
+    perms = [data.draw(st.permutations(range(n))) for _ in range(3)]
+    cayley = ntk.cayley_square(entry.group)
+    square = ntk.apply_isotopy(cayley, *perms)
+    blocks = tuple((_moved(row_mask, perms[0]), _moved(col_mask, perms[1]))
+                   for row_mask, col_mask in cayley.blocks)
+    _assert_oracles_match_plain_search(square.cells, entry.label, max_count_order=8,
+                                       blocks=blocks)
+
+
+def test_block_cut_decides_orders_not_divisible_by_4_at_once():
+    for group in (ntk.cyclic(14), ntk.dihedral(7), ntk.cyclic(30)):
+        square = ntk.cayley_square(group)
+        assert _search(square.cells, blocks=square.blocks) is None
+        assert _search(square.cells, count=True, blocks=square.blocks) == 0
+    assert ntk.brute_force_transversal(ntk.cayley_square(ntk.cyclic(14)), guard=14) is None
+    for group in (ntk.dihedral(12), ntk.dicyclic(6),
+                  ntk.parse_group_spec("Z2 x Z2 x Z2 x Z2 x Z2")[0]):
+        sigma = ntk.find_complete_mapping(group, guard=32)
+        assert ntk.is_complete_mapping(group, sigma), group.label
+
+
 def test_transversal_presence_matches_sylow_class_to_order_10():
-    from ntk.groups import CYCLIC_NONTRIVIAL
     for entry in builtin_catalog(10):
         square = ntk.cayley_square(entry.group)
         present = ntk.brute_force_transversal(square) is not None
