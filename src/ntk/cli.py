@@ -181,6 +181,8 @@ def cmd_verify(spec: str, format: str, ordering: str | None) -> int:
 
 
 def cmd_oracle(which: str, spec: str, format: str, guard: int | None) -> int:
+    if guard is not None and guard < 1:
+        raise InvalidInput(f"--guard-override {guard} is below 1")
     group, label = parse_group_spec(spec)
     square = latin.cayley_square(group)
     payload: dict = {"group": label, "oracle": which}

@@ -34,7 +34,9 @@ orders and inverses are cached on the group on first use, and subgroup
 tests and closures grow a set by right products with a generating set,
 which is exact in a finite group and costs O(|S|) per generator. The
 subgroups of index 2, which the latin search kernel cuts by, are cached
-too; they are read off G modulo its squares by linear algebra over Z2.
+too; they are read off G modulo its squares by linear algebra over Z2. So
+is Hall and Paige's product test, with which the kernel decides at its
+root that a Cayley square of order 4m has no transversal.
 """
 
 from __future__ import annotations
@@ -683,6 +685,24 @@ def index2_subgroups(group: Group) -> tuple[frozenset[int], ...]:
                 if not (v & f).bit_count() & 1:
                     members.append(g)
         cached = group._cache["index2"] = tuple(frozenset(members) for _, members in forms)
+    return cached
+
+
+def _abelianized_product_is_identity(group: Group) -> bool:
+    """Hall and Paige's product test, computed on first use and cached on the
+    group: whether the product of all elements lies in the derived subgroup
+    G', which holds exactly when the Sylow 2-subgroup is trivial or not
+    cyclic.
+
+    A complete mapping forces it: the diagonal products re-enumerate the
+    group, so in the abelianization s = 2s for the sum s of all elements.
+    The image in G/G' does not depend on the order of the factors, so one
+    product in G, tested for membership in G', decides it.
+    """
+    cached = group._cache.get("product_in_derived")
+    if cached is None:
+        product = functools.reduce(group.mul, group.elements(), group.identity)
+        cached = group._cache["product_in_derived"] = product in commutator_subgroup(group)
     return cached
 
 

@@ -29,25 +29,39 @@ columns in N n/2 - x for (not N, N), and the symbols in N n/2 - x for
 x = n/4 of them. A Cayley square carries one split per subgroup of index 2,
 and a search for whole transversals cuts every child that puts n/4 + 1
 cells in a block, and stops at once when 4 does not divide n.
+
+It also stops at once when 4 divides n and the product of all elements
+lies outside the derived subgroup G' (Hall and Paige's product test, which
+a Cayley square carries next to its splits). A transversal is a complete
+mapping sigma, so the products g*sigma(g) run over G once; in the abelian
+group G/G' the sum s of all elements is then s + s, so s = 0. In G/N = Z2
+the same count says that n/2 is even, the rule above.
+
+A Cayley square also says that its columns are regular, so the oracles
+skip ``_column_regular`` on it. Squares from :func:`latin_square`,
+:func:`apply_isotopy` and :func:`conjugate_square` carry none of this.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InvalidInput, NotLatin, NotPermutation
 from .guards import ensure_within
-from .groups import Group, _check_columns, _latin_rows, _read_rows, index2_subgroups
+from .groups import (Group, _abelianized_product_is_identity, _check_columns, _latin_rows,
+                     _read_rows, index2_subgroups)
 
 Cell = tuple[int, int]
 
 ROLES = ("row", "column", "symbol")
 
 
-class LatinSquare(namedtuple("LatinSquare", "n symbol read_cells read_blocks",
-                             defaults=(tuple,))):
+class LatinSquare(namedtuple("LatinSquare",
+                             "n symbol read_cells read_blocks column_regular product_test",
+                             defaults=(tuple, False, None))):
     """A latin square of order ``n``.
 
     ``symbol(r, c)`` is the symbol in cell (r, c) and ``cells`` holds the
@@ -60,6 +74,11 @@ class LatinSquare(namedtuple("LatinSquare", "n symbol read_cells read_blocks",
     subsquares, the two on its diagonal over one half of the symbols; the
     search kernel cuts by them. A Cayley square has one split per subgroup
     of index 2, found only then; any other square has none.
+
+    ``column_regular`` says that ``_column_regular`` holds, and
+    ``product_test`` is a test that every square with a transversal passes,
+    read only at the root of a search for whole transversals of order 4m.
+    A Cayley square sets both, from its group; any other square neither.
     """
 
     __slots__ = ()
@@ -101,12 +120,13 @@ def _square(rows: tuple[tuple[int, ...], ...]) -> LatinSquare:
 
 def cayley_square(group: Group) -> LatinSquare:
     """The multiplication table of ``group`` viewed as a latin square, split
-    by each subgroup N of index 2: g*h lies in N iff g and h both do or
-    both do not."""
+    by each subgroup N of index 2 (g*h lies in N iff g and h both do or
+    both do not), column-regular, and with the group's product test."""
     def blocks():
         masks = (sum(1 << g for g in members) for members in index2_subgroups(group))
         return tuple((mask, mask) for mask in masks)
-    return LatinSquare(group.n, group.mul, lambda: group.table, blocks)
+    return LatinSquare(group.n, group.mul, lambda: group.table, blocks, True,
+                       partial(_abelianized_product_is_identity, group))
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +211,15 @@ def _column_regular(rows: Sequence[Sequence[int]]) -> bool:
     return True
 
 
+def _no_leaf(n: int, skips: int, blocks: Sequence[tuple[int, int]],
+             product_test: Callable[[], bool] | None = None) -> bool:
+    """The root rule of ``_search``: with ``skips=0`` and ``blocks`` given,
+    no leaf when 4 does not divide n, or when it does and ``product_test``,
+    which is called only then, fails."""
+    return not skips and bool(blocks) and (
+        n % 4 != 0 or product_test is not None and not product_test())
+
+
 def _search(rows: Sequence[Sequence[int]], skips: int = 0, count: bool = False,
             pin: bool = False, blocks: Sequence[tuple[int, int]] = ()
             ) -> tuple[int | None, ...] | int | None:
@@ -226,12 +255,23 @@ def _search(rows: Sequence[Sequence[int]], skips: int = 0, count: bool = False,
         n/2 - x in (out, in), and the n/2 symbols of (in, in) give n/2 - x
         in (out, out); the n cells sum to 3n/2 - 2x = n, so x = n/4.
 
-    So with 4 not dividing n there is no leaf, and else a child that puts
-    n/4 + 1 cells in a block is cut. The count of each block is a field of
-    one int kept next to the node int, started so that n/4 + 1 sets the
-    field's top bit; a pick adds one to the field of the block it lands in,
-    in every split. A partial transversal need not split evenly, so with
-    ``skips`` the blocks are not read.
+    So with 4 not dividing n there is no leaf (``_no_leaf``), and else a
+    child that puts n/4 + 1 cells in a block is cut. ``_square_search``
+    also gives ``_no_leaf`` a Cayley square's product test, before it reads
+    the rows: nor is there a leaf when 4 divides n and the product of all
+    elements lies outside G', since
+
+        a transversal is a complete mapping sigma, so the products
+        g*sigma(g) run over G once, and in the abelian group G/G' the sum s
+        of all elements is s + s, so s = 0.
+
+    In G/N = Z2 the same count says that n/2 is even, the first rule.
+
+    The count of each block is a field of one int kept next to the node
+    int, started so that n/4 + 1 sets the field's top bit; a pick adds one
+    to the field of the block it lands in, in every split. A partial
+    transversal need not split evenly, so with ``skips`` neither the blocks
+    nor the product test are read.
 
     Both cuts remove only subtrees without a leaf and the branching order
     is the plain row-major one, so the first leaf and the count are those
@@ -245,6 +285,8 @@ def _search(rows: Sequence[Sequence[int]], skips: int = 0, count: bool = False,
     ``skips=0`` is the number of transversals divided by n.
     """
     n = len(rows)
+    if _no_leaf(n, skips, blocks):
+        return 0 if count else None
     full = (1 << n) - 1
     ones = sum(1 << i * n for i in range(n))  # bit 0 of every field
     low_bits = (full >> 1) * ones  # each field's lower n - 1 bits
@@ -257,8 +299,6 @@ def _search(rows: Sequence[Sequence[int]], skips: int = 0, count: bool = False,
     # steps[r][c]: what picking (r, c) adds to the block counters
     tally, tops, steps = 0, 0, [[0] * n] * n
     if blocks and not skips:
-        if n % 4:
-            return 0 if count else None
         width = (n // 4 + 1).bit_length() + 1  # bits per block counter
         quad = (1 << 4 * width) - 1  # the four counters of one split
         fields = sum(1 << i * width for i in range(4 * len(blocks)))
@@ -310,11 +350,28 @@ def _search(rows: Sequence[Sequence[int]], skips: int = 0, count: bool = False,
     return tuple(picked) if found else None
 
 
+def _square_search(square: LatinSquare, pin: bool, skips: int = 0, count: bool = False
+                   ) -> tuple[int | None, ...] | int | None:
+    """``_search`` on the rows of ``square`` with the cuts it carries; the
+    rows, which a Cayley square builds on first read, are not read when the
+    root rule decides."""
+    blocks = square.blocks
+    if _no_leaf(square.n, skips, blocks, square.product_test):
+        return 0 if count else None
+    return _search(square.cells, skips, count, pin, blocks)
+
+
+def _pins(square: LatinSquare) -> bool:
+    """Whether the oracles may pin row 0: a Cayley square says so, any
+    other square is checked."""
+    return square.column_regular or _column_regular(square.cells)
+
+
 def brute_force_transversal(square: LatinSquare, *,
                             guard: int | None = None) -> tuple[Cell, ...] | None:
     """Lexicographically first transversal, or None when none exists."""
     ensure_within("transversal", square.n, guard)
-    found = _search(square.cells, pin=_column_regular(square.cells), blocks=square.blocks)
+    found = _square_search(square, _pins(square))
     return None if found is None else tuple(enumerate(found))
 
 
@@ -322,8 +379,8 @@ def count_transversals(square: LatinSquare, *, guard: int | None = None) -> int:
     """Exact number of transversals, by exhaustive backtracking; n times
     the count through cell (0, 0) when the columns are regular."""
     ensure_within("count", square.n, guard)
-    pin = _column_regular(square.cells)
-    found = _search(square.cells, count=True, pin=pin, blocks=square.blocks)
+    pin = _pins(square)
+    found = _square_search(square, pin, count=True)
     return square.n * found if pin else found
 
 
@@ -336,9 +393,9 @@ def max_partial_transversal(square: LatinSquare, *,
     is also the first maximum-size leaf of the unbounded search.
     """
     ensure_within("max_partial", square.n, guard)
-    pin = _column_regular(square.cells)
+    pin = _pins(square)
     skips = 0
-    while (found := _search(square.cells, skips, pin=pin, blocks=square.blocks)) is None:
+    while (found := _square_search(square, pin, skips)) is None:
         skips += 1
     cells = tuple((r, c) for r, c in enumerate(found) if c is not None)
     return len(cells), cells

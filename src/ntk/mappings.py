@@ -11,7 +11,6 @@ searched for, by lifting over a cyclic quotient.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import reduce
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -25,7 +24,7 @@ from .errors import (
 )
 from .guards import ensure_within
 from .groups import Group, _cached_orders, commutator_subgroup, is_subgroup, subgroup_closure
-from .latin import _check_perm, _search, cayley_square, is_partial_transversal
+from .latin import _check_perm, _square_search, cayley_square, is_partial_transversal
 
 Collision = namedtuple("Collision", "kind i j value")
 
@@ -35,14 +34,6 @@ def is_complete_mapping(group: Group, sigma: Sequence[int]) -> bool:
     return is_partial_transversal(cayley_square(group), enumerate(p))[0]
 
 
-def _abelianized_product_is_identity(group: Group) -> bool:
-    # A complete mapping forces the product of all elements, taken in the
-    # abelianization, to vanish: the diagonal products re-enumerate the group,
-    # so s = 2s there. The image in G/G' does not depend on the order of the
-    # factors, so one product in G, tested for membership in G', decides it.
-    return reduce(group.mul, group.elements(), group.identity) in commutator_subgroup(group)
-
-
 def find_complete_mapping(group: Group, *,
                           guard: int | None = None) -> tuple[int, ...] | None:
     """Lexicographically first complete mapping, or None when none exists.
@@ -50,17 +41,15 @@ def find_complete_mapping(group: Group, *,
     The graph of a complete mapping is a transversal of the multiplication
     table, so this is the first transversal of the latin search kernel read
     row by row: sigma(g) is the column chosen in row g, the smallest mapping.
-    Absence is certified either by Hall and Paige's abelianization test (the
-    product of all elements lies outside the derived subgroup G', which is
-    exactly when the Sylow 2-subgroup is cyclic and nontrivial) or by
-    exhausting the search. A group table's right translations make its
-    columns regular, so the search pins row 0 to column 0 without checking.
+    The kernel decides absence at the root when its Cayley square says so:
+    when 2 divides n but 4 does not, or when Hall and Paige's product test
+    fails (the product of all elements lies outside the derived subgroup
+    G', which is exactly when the Sylow 2-subgroup is cyclic and
+    nontrivial); the test is read only at orders 4m. The square's columns
+    are regular, so the search pins row 0 to column 0.
     """
     ensure_within("complete_mapping", group.n, guard)
-    if not _abelianized_product_is_identity(group):
-        return None
-    square = cayley_square(group)
-    return _search(square.cells, pin=True, blocks=square.blocks)
+    return _square_search(cayley_square(group), pin=True)
 
 
 def _resolve_members(group: Group, subgroup: Iterable[int] | None) -> list[int]:

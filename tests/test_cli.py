@@ -220,6 +220,18 @@ def test_guard_override_flag(capsys):
     assert json.loads(out)["count"] > 0
 
 
+def test_guard_override_below_one_rejected(capsys):
+    # a usage error (exit 1), not a guard that stops the search (exit 3) and
+    # asks for the explicit guard that was passed
+    for which in ("transversal", "count", "maxpartial", "completemapping"):
+        for guard in ("0", "-1"):
+            code, out, err = run(capsys, "oracle", which, "Z4", "--guard-override", guard)
+            assert code == 1 and not out and _one_error_line(err), (which, guard)
+            assert f"--guard-override {guard} is below 1" in err, (which, guard)
+    code, out, _ = run(capsys, "oracle", "count", "Z1", "--guard-override", "1")
+    assert code == 0 and out
+
+
 def test_guard_override_is_the_oracles_alone(capsys):
     assert [command for command, (_, _, options) in cli.COMMANDS.items()
             if "--guard-override" in options] == ["oracle"]

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 import ntk
 from ntk.catalog import builtin_catalog
 from ntk.errors import InvalidInput, NotLatin, NotPermutation, OrderTooLarge
-from ntk.groups import CYCLIC_NONTRIVIAL
-from ntk.latin import ROLES, _column_regular, _search
+from ntk.groups import CYCLIC_NONTRIVIAL, _abelianized_product_is_identity
+from ntk.latin import ROLES, _column_regular, _search, _square_search
 
 
 def test_cayley_square_examples():
@@ -355,10 +357,106 @@ def test_block_cut_decides_orders_not_divisible_by_4_at_once():
         assert ntk.is_complete_mapping(group, sigma), group.label
 
 
-def test_transversal_presence_matches_sylow_class_to_order_10():
-    for entry in builtin_catalog(10):
+# ---------------------------------------------------------------------------
+# the product rule: a search for whole transversals of a Cayley square of
+# order 4m ends at the root when the product of all elements lies outside G'
+
+def _kernel_nodes(call, limit=None):
+    """``(nodes, result)``: the nodes of the search kernel that ``call()``
+    enters, counted as calls of ``_search``'s inner ``dfs``, and what it
+    returns. Entering more than ``limit`` nodes raises AssertionError at
+    once, so that a search which would run for minutes fails fast."""
+    dfs = next(code for code in _search.__code__.co_consts
+               if isinstance(code, types.CodeType) and code.co_name == "dfs")
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        nodes += event == "call" and frame.f_code is dfs
+        if limit is not None and nodes > limit:
+            raise AssertionError(f"the search entered more than {limit} nodes")
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(before)
+    return nodes, result
+
+
+def test_product_rule_fires_only_where_the_plain_pinned_kernel_finds_no_leaf():
+    # the kernel without blocks or product test exhausts its pinned tree
+    fired = [entry for entry in builtin_catalog(12) if entry.group.n % 4 == 0
+             and not _abelianized_product_is_identity(entry.group)]
+    assert [entry.label for entry in fired] == ["Z4", "Z8", "Dic3", "Z12"]
+    for entry in fired:
+        assert _search(entry.group.table, pin=True) is None, entry.label
+
+
+def test_product_rule_decides_at_the_root():
+    for spec in ("Z4", "Z8", "Z12", "Dic3", "Z16"):
+        group = ntk.parse_group_spec(spec)[0]
+        square = ntk.cayley_square(group)
+        guard = group.n
+        assert _kernel_nodes(lambda: ntk.brute_force_transversal(square, guard=guard),
+                             limit=0) == (0, None), spec
+        assert _kernel_nodes(lambda: ntk.count_transversals(square, guard=guard),
+                             limit=0) == (0, 0), spec
+        assert _kernel_nodes(lambda: ntk.find_complete_mapping(group, guard=guard),
+                             limit=0) == (0, None), spec
+    # the same rows without the rule: Z8's pinned search enters 160 nodes
+    plain = ntk.latin_square(ntk.cayley_square(ntk.cyclic(8)).cells)
+    assert _kernel_nodes(lambda: ntk.count_transversals(plain)) == (160, 0)
+
+
+def test_max_partial_transversal_of_z12_keeps_its_witness():
+    # the pass with no uncovered row ends at the root; the witness is the
+    # first leaf with one uncovered row, as it was before the rule
+    square = ntk.cayley_square(ntk.cyclic(12))
+    cells = ((0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5),
+             (6, 7), (7, 8), (8, 9), (9, 10), (10, 11))
+    assert ntk.max_partial_transversal(square, guard=12) == (11, cells)
+
+
+def test_product_test_runs_once_and_only_in_whole_searches_of_order_4m(monkeypatch):
+    calls = []
+    commutator_subgroup = ntk.groups.commutator_subgroup
+    monkeypatch.setattr(ntk.groups, "commutator_subgroup",
+                        lambda group: calls.append(group.label) or commutator_subgroup(group))
+    z8 = ntk.cyclic(8)
+    for _ in range(2):
+        ntk.brute_force_transversal(ntk.cayley_square(z8))
+        ntk.count_transversals(ntk.cayley_square(z8))
+        ntk.max_partial_transversal(ntk.cayley_square(z8))
+        ntk.find_complete_mapping(z8)
+    assert calls == ["Z8"]
+    # odd orders and orders 2 mod 4 never read it, nor does the search of
+    # near_transversal, nor a search that may leave rows uncovered
+    for group in (ntk.cyclic(7), ntk.cyclic(6), ntk.dihedral(5), ntk.cyclic(14)):
+        square = ntk.cayley_square(group)
+        ntk.brute_force_transversal(square, guard=group.n)
+        ntk.count_transversals(square, guard=group.n)
+        ntk.find_complete_mapping(group)
+        ntk.near_transversal(group)
+    for group in (ntk.dihedral(4), ntk.dicyclic(2), ntk.dihedral(8)):
+        ntk.near_transversal(group)
+    assert _square_search(ntk.cayley_square(ntk.cyclic(4)), True, skips=1) is not None
+    assert calls == ["Z8"]
+
+
+def test_only_cayley_squares_carry_regular_columns_and_the_product_test():
+    square = ntk.cayley_square(ntk.cyclic(12))
+    assert square.column_regular and square.product_test() is False
+    for other in (ntk.latin_square(square.cells), ntk.apply_isotopy(square, *[range(12)] * 3),
+                  ntk.conjugate_square(square, ROLES)):
+        assert not other.column_regular and other.product_test is None
+
+
+def test_transversal_presence_matches_sylow_class_to_order_16():
+    for entry in builtin_catalog(16):
         square = ntk.cayley_square(entry.group)
-        present = ntk.brute_force_transversal(square) is not None
+        present = ntk.brute_force_transversal(square, guard=16) is not None
         cyclic_sylow = ntk.sylow2(entry.group).classification == CYCLIC_NONTRIVIAL
         assert present == (not cyclic_sylow), entry.label
 

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 import ntk
 from ntk.catalog import builtin_catalog
 from ntk.errors import InvalidInput, NotPermutation, OddOrderRequired, OrderTooLarge
-from ntk.groups import CYCLIC_NONTRIVIAL
+from ntk.groups import CYCLIC_NONTRIVIAL, _abelianized_product_is_identity
 from ntk.groupspec import parse_group_spec
 from ntk.latin import _search
-from ntk.mappings import _abelianized_product_is_identity
 
 
 def test_identity_is_complete_for_odd_order():
