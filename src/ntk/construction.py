@@ -41,7 +41,7 @@ from .groups import (
     is_subgroup,
     sylow2,
 )
-from .latin import Cell, _search, cayley_square, is_partial_transversal
+from .latin import Cell, _search, _splits, cayley_square, is_partial_transversal
 from .mappings import _checked_ordering
 
 BRANCH_CONSTRUCTION = "construction"
@@ -270,8 +270,8 @@ def near_transversal(group: Group, *,
     if n % 2 == 1:
         sigma: Sequence[int] | None = tuple(range(n))
     elif n <= SEARCH_ORDER:
-        square = cayley_square(group)  # a group table's columns are regular
-        sigma = _search(square.cells, pin=True, blocks=square.blocks)
+        # a group table's columns are regular
+        sigma = _search(group.table, pin=True, blocks=_splits(group))
     elif "complete_mapping" in group._cache:
         sigma = group._cache["complete_mapping"]()
     else:

@@ -231,6 +231,20 @@ def _integral(v) -> bool:
         return False
 
 
+def _indices(values: Iterable, n: int | None, error: type[Exception],
+             what: str) -> tuple[int, ...]:
+    """``values`` read as element indices by the rule table entries follow:
+    each must equal an int in [0, n) (any int when ``n`` is None) and is
+    read as it, so 2.0 is 2 while 1.5, "1", -1 and n raise ``error``."""
+    values = tuple(values)
+    for v in values:
+        if not (_integral(v) and (n is None or 0 <= v < n)):
+            shown = repr(v) if isinstance(v, str) else v
+            bound = "" if n is None else f" in [0, {n})"
+            raise error(f"{what} {shown} is not an int{bound}")
+    return tuple(map(int, values))
+
+
 def _check_columns(rows: Sequence[Sequence[int]]) -> None:
     """Raise :class:`NotLatin` naming the first column that repeats a symbol."""
     n = len(rows)
@@ -507,7 +521,7 @@ def semidirect(k_part: Group, h_part: Group,
         raise InvalidAction(f"expected {nk} permutations, got {len(action)}")
     acts = []
     for ki, perm in enumerate(action):
-        acts.append(tuple(int(x) for x in perm))
+        acts.append(_indices(perm, nh, InvalidAction, f"action[{ki}] entry"))
         if sorted(acts[-1]) != list(range(nh)):
             raise InvalidAction(f"action[{ki}] is not a permutation of 0..{nh - 1}")
     # Whole rows are compared, each made by one C-level map over a table

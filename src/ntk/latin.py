@@ -16,9 +16,9 @@ transversals that cover the same rows. So a transversal through ``(0, c)``
 maps one-to-one onto one through ``(0, 0)``: the transversal count is n
 times the count of the column-0 subtree, and whenever some leaf covers row
 0 a leaf covers it in column 0, where the unpinned search looks first.
-The oracles pin only when ``_column_regular`` finds such a row-fixing
-autotopism for every column, which holds on every group table and every
-isotope of one.
+The oracles pin on every Cayley square, and on any other square only when
+``_column_regular`` finds such a row-fixing autotopism for every column,
+which holds on every group table and every isotope of one.
 
 The kernel also cuts by blocks. A subgroup N of index 2 splits a group's
 table into four n/2 x n/2 blocks by whether the row and the column lie in
@@ -26,70 +26,55 @@ N, and g*h lies in N iff both or neither do. If a transversal has x cells
 in the block (N, N), the rows in N leave n/2 - x for (N, not N), the
 columns in N n/2 - x for (not N, N), and the symbols in N n/2 - x for
 (not N, not N); the n cells sum to 3n/2 - 2x = n, so every block holds
-x = n/4 of them. A Cayley square carries one split per subgroup of index 2,
-and a search for whole transversals cuts every child that puts n/4 + 1
-cells in a block, and stops at once when 4 does not divide n.
+x = n/4 of them. A group gives one split per subgroup of index 2, and a
+search for whole transversals cuts every child that puts n/4 + 1 cells in
+a block, and stops at once when 4 does not divide n.
 
 It also stops at once when 4 divides n and the product of all elements
-lies outside the derived subgroup G' (Hall and Paige's product test, which
-a Cayley square carries next to its splits). A transversal is a complete
-mapping sigma, so the products g*sigma(g) run over G once; in the abelian
-group G/G' the sum s of all elements is then s + s, so s = 0. In G/N = Z2
-the same count says that n/2 is even, the rule above.
+lies outside the derived subgroup G' (Hall and Paige's product test). A
+transversal is a complete mapping sigma, so the products g*sigma(g) run
+over G once; in the abelian group G/G' the sum s of all elements is then
+s + s, so s = 0. In G/N = Z2 the same count says that n/2 is even, the
+rule above.
 
-A Cayley square also says that its columns are regular, so the oracles
-skip ``_column_regular`` on it. Squares from :func:`latin_square`,
-:func:`apply_isotopy` and :func:`conjugate_square` carry none of this.
+A Cayley square holds its group, from which ``_square_search``, the
+oracles' one entry to the kernel, reads every cut: the pin, and the splits
+and the product test before the rows, so that a search the root decides
+builds no table. Any other square holds only its rows: it gets no splits
+and no product test, and is pinned when ``_column_regular`` holds.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidInput, NotLatin, NotPermutation
 from .guards import ensure_within
-from .groups import (Group, _abelianized_product_is_identity, _check_columns, _latin_rows,
-                     _read_rows, index2_subgroups)
+from .groups import (Group, _abelianized_product_is_identity, _check_columns, _indices,
+                     _latin_rows, _read_rows, index2_subgroups)
 
 Cell = tuple[int, int]
 
 ROLES = ("row", "column", "symbol")
 
 
-class LatinSquare(namedtuple("LatinSquare",
-                             "n symbol read_cells read_blocks column_regular product_test",
-                             defaults=(tuple, False, None))):
-    """A latin square of order ``n``.
+class LatinSquare(namedtuple("LatinSquare", "n symbol rows group", defaults=(None,))):
+    """A latin square of order ``n``; ``symbol(r, c)`` is the symbol in cell
+    (r, c) and ``cells`` holds the rows.
 
-    ``symbol(r, c)`` is the symbol in cell (r, c) and ``cells`` holds the
-    rows, which ``read_cells()`` returns. A Cayley square answers
-    ``symbol`` with its group's product and reads ``cells`` from the group's
-    table, which is built only then.
-
-    ``blocks``, which ``read_blocks()`` returns, holds ``(row_mask,
-    col_mask)`` bit masks that split the square into four n/2 x n/2
-    subsquares, the two on its diagonal over one half of the symbols; the
-    search kernel cuts by them. A Cayley square has one split per subgroup
-    of index 2, found only then; any other square has none.
-
-    ``column_regular`` says that ``_column_regular`` holds, and
-    ``product_test`` is a test that every square with a transversal passes,
-    read only at the root of a search for whole transversals of order 4m.
-    A Cayley square sets both, from its group; any other square neither.
+    A plain square holds its ``rows`` and has no ``group``. A Cayley square
+    holds its group instead, answers ``symbol`` with the group's product,
+    and reads ``cells`` from the group's table, which is built only then.
+    The searches read the group's cuts from it (see the module docstring).
     """
 
     __slots__ = ()
 
     @property
     def cells(self) -> Sequence[Sequence[int]]:
-        return self.read_cells()
-
-    @property
-    def blocks(self) -> tuple[tuple[int, int], ...]:
-        return self.read_blocks()
+        return self.rows if self.group is None else self.group.table
 
 
 class Violation(namedtuple("Violation", "kind first second")):
@@ -115,18 +100,12 @@ def latin_square(cells: Sequence[Sequence[int]]) -> LatinSquare:
 
 def _square(rows: tuple[tuple[int, ...], ...]) -> LatinSquare:
     """A square that holds its rows."""
-    return LatinSquare(len(rows), lambda r, c: rows[r][c], lambda: rows)
+    return LatinSquare(len(rows), lambda r, c: rows[r][c], rows)
 
 
 def cayley_square(group: Group) -> LatinSquare:
-    """The multiplication table of ``group`` viewed as a latin square, split
-    by each subgroup N of index 2 (g*h lies in N iff g and h both do or
-    both do not), column-regular, and with the group's product test."""
-    def blocks():
-        masks = (sum(1 << g for g in members) for members in index2_subgroups(group))
-        return tuple((mask, mask) for mask in masks)
-    return LatinSquare(group.n, group.mul, lambda: group.table, blocks, True,
-                       partial(_abelianized_product_is_identity, group))
+    """The multiplication table of ``group`` viewed as a latin square."""
+    return LatinSquare(group.n, group.mul, None, group)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +150,13 @@ def cells_to_json(square: LatinSquare, cells: Iterable[Cell]) -> list[list[int]]
 
 def cells_from_json(data: Iterable[Sequence[int]],
                     square: LatinSquare | None = None) -> tuple[Cell, ...]:
+    """The cells of ``[row, column(, symbol)]`` items, whose entries must be
+    ints, in [0, n) with a ``square``, whose symbol a stored one must be."""
+    n = None if square is None else square.n
     out = []
     for item in data:
-        r, c = int(item[0]), int(item[1])
-        if square is not None and len(item) > 2 and square.symbol(r, c) != int(item[2]):
+        r, c, *stored = _indices(item[:3], n, InvalidInput, "cell entry")
+        if square is not None and stored and square.symbol(r, c) != stored[0]:
             raise InvalidInput(
                 f"stored symbol {item[2]} disagrees with square at ({r},{c})"
             )
@@ -209,15 +191,6 @@ def _column_regular(rows: Sequence[Sequence[int]]) -> bool:
             if [row[j] for j in sigma] != [tau[s] for s in row]:
                 return False
     return True
-
-
-def _no_leaf(n: int, skips: int, blocks: Sequence[tuple[int, int]],
-             product_test: Callable[[], bool] | None = None) -> bool:
-    """The root rule of ``_search``: with ``skips=0`` and ``blocks`` given,
-    no leaf when 4 does not divide n, or when it does and ``product_test``,
-    which is called only then, fails."""
-    return not skips and bool(blocks) and (
-        n % 4 != 0 or product_test is not None and not product_test())
 
 
 def _search(rows: Sequence[Sequence[int]], skips: int = 0, count: bool = False,
@@ -255,23 +228,16 @@ def _search(rows: Sequence[Sequence[int]], skips: int = 0, count: bool = False,
         n/2 - x in (out, in), and the n/2 symbols of (in, in) give n/2 - x
         in (out, out); the n cells sum to 3n/2 - 2x = n, so x = n/4.
 
-    So with 4 not dividing n there is no leaf (``_no_leaf``), and else a
-    child that puts n/4 + 1 cells in a block is cut. ``_square_search``
-    also gives ``_no_leaf`` a Cayley square's product test, before it reads
-    the rows: nor is there a leaf when 4 divides n and the product of all
-    elements lies outside G', since
-
-        a transversal is a complete mapping sigma, so the products
-        g*sigma(g) run over G once, and in the abelian group G/G' the sum s
-        of all elements is s + s, so s = 0.
-
-    In G/N = Z2 the same count says that n/2 is even, the first rule.
+    So with 4 not dividing n there is no leaf, which the root decides, and
+    else a child that puts n/4 + 1 cells in a block is cut. (On a Cayley
+    square ``_square_search`` decides this rule, and Hall and Paige's
+    product test, before it reads the rows; see the module docstring.)
 
     The count of each block is a field of one int kept next to the node
     int, started so that n/4 + 1 sets the field's top bit; a pick adds one
     to the field of the block it lands in, in every split. A partial
-    transversal need not split evenly, so with ``skips`` neither the blocks
-    nor the product test are read.
+    transversal need not split evenly, so with ``skips`` the blocks are
+    not read.
 
     Both cuts remove only subtrees without a leaf and the branching order
     is the plain row-major one, so the first leaf and the count are those
@@ -285,7 +251,7 @@ def _search(rows: Sequence[Sequence[int]], skips: int = 0, count: bool = False,
     ``skips=0`` is the number of transversals divided by n.
     """
     n = len(rows)
-    if _no_leaf(n, skips, blocks):
+    if blocks and not skips and n % 4:
         return 0 if count else None
     full = (1 << n) - 1
     ones = sum(1 << i * n for i in range(n))  # bit 0 of every field
@@ -350,28 +316,39 @@ def _search(rows: Sequence[Sequence[int]], skips: int = 0, count: bool = False,
     return tuple(picked) if found else None
 
 
-def _square_search(square: LatinSquare, pin: bool, skips: int = 0, count: bool = False
+def _splits(group: Group) -> tuple[tuple[int, int], ...]:
+    """``_search``'s blocks on the table of ``group``: ``(mask, mask)`` for
+    each subgroup N of index 2, as g*h lies in N iff g and h both do or
+    both do not."""
+    masks = (sum(1 << g for g in members) for members in index2_subgroups(group))
+    return tuple((mask, mask) for mask in masks)
+
+
+def _square_search(square: LatinSquare, skips: int = 0, count: bool = False
                    ) -> tuple[int | None, ...] | int | None:
-    """``_search`` on the rows of ``square`` with the cuts it carries; the
-    rows, which a Cayley square builds on first read, are not read when the
-    root rule decides."""
-    blocks = square.blocks
-    if _no_leaf(square.n, skips, blocks, square.product_test):
-        return 0 if count else None
-    return _search(square.cells, skips, count, pin, blocks)
-
-
-def _pins(square: LatinSquare) -> bool:
-    """Whether the oracles may pin row 0: a Cayley square says so, any
-    other square is checked."""
-    return square.column_regular or _column_regular(square.cells)
+    """``_search`` on ``square`` with every cut it allows, a pinned count
+    multiplied back by n. A Cayley square is pinned and split by its group,
+    and with ``skips=0`` orders 2 mod 4, and orders 4m by the product test,
+    are decided before its rows are read; any other square is pinned when
+    ``_column_regular`` holds."""
+    group = square.group
+    if group is None:
+        rows, pin, blocks = square.rows, _column_regular(square.rows), ()
+    else:
+        blocks = _splits(group)
+        if not skips and blocks and (
+                group.n % 4 or not _abelianized_product_is_identity(group)):
+            return 0 if count else None
+        rows, pin = group.table, True
+    found = _search(rows, skips, count, pin, blocks)
+    return square.n * found if count and pin else found
 
 
 def brute_force_transversal(square: LatinSquare, *,
                             guard: int | None = None) -> tuple[Cell, ...] | None:
     """Lexicographically first transversal, or None when none exists."""
     ensure_within("transversal", square.n, guard)
-    found = _square_search(square, _pins(square))
+    found = _square_search(square)
     return None if found is None else tuple(enumerate(found))
 
 
@@ -379,9 +356,7 @@ def count_transversals(square: LatinSquare, *, guard: int | None = None) -> int:
     """Exact number of transversals, by exhaustive backtracking; n times
     the count through cell (0, 0) when the columns are regular."""
     ensure_within("count", square.n, guard)
-    pin = _pins(square)
-    found = _square_search(square, pin, count=True)
-    return square.n * found if pin else found
+    return _square_search(square, count=True)
 
 
 def max_partial_transversal(square: LatinSquare, *,
@@ -393,9 +368,8 @@ def max_partial_transversal(square: LatinSquare, *,
     is also the first maximum-size leaf of the unbounded search.
     """
     ensure_within("max_partial", square.n, guard)
-    pin = _pins(square)
     skips = 0
-    while (found := _square_search(square, pin, skips)) is None:
+    while (found := _square_search(square, skips)) is None:
         skips += 1
     cells = tuple((r, c) for r, c in enumerate(found) if c is not None)
     return len(cells), cells
@@ -425,7 +399,7 @@ def is_extendable(square: LatinSquare, cells: Sequence[Cell]) -> bool:
 # main-class transformations
 
 def _check_perm(perm: Sequence[int], n: int, what: str) -> tuple[int, ...]:
-    p = tuple(int(x) for x in perm)
+    p = _indices(perm, n, NotPermutation, f"{what} entry")
     if sorted(p) != list(range(n)):
         raise NotPermutation(f"{what} is not a permutation of 0..{n - 1}")
     return p

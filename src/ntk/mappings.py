@@ -23,7 +23,8 @@ from .errors import (
     StructureViolation,
 )
 from .guards import ensure_within
-from .groups import Group, _cached_orders, commutator_subgroup, is_subgroup, subgroup_closure
+from .groups import (Group, _cached_orders, _indices, commutator_subgroup, is_subgroup,
+                     subgroup_closure)
 from .latin import _check_perm, _square_search, cayley_square, is_partial_transversal
 
 Collision = namedtuple("Collision", "kind i j value")
@@ -41,21 +42,21 @@ def find_complete_mapping(group: Group, *,
     The graph of a complete mapping is a transversal of the multiplication
     table, so this is the first transversal of the latin search kernel read
     row by row: sigma(g) is the column chosen in row g, the smallest mapping.
-    The kernel decides absence at the root when its Cayley square says so:
-    when 2 divides n but 4 does not, or when Hall and Paige's product test
-    fails (the product of all elements lies outside the derived subgroup
-    G', which is exactly when the Sylow 2-subgroup is cyclic and
-    nontrivial); the test is read only at orders 4m. The square's columns
-    are regular, so the search pins row 0 to column 0.
+    The search reads its cuts from the group: it pins row 0 to column 0,
+    and decides absence at the root when 2 divides n but 4 does not, or
+    when Hall and Paige's product test fails (the product of all elements
+    lies outside the derived subgroup G', which is exactly when the Sylow
+    2-subgroup is cyclic and nontrivial); the test is read only at orders
+    4m.
     """
     ensure_within("complete_mapping", group.n, guard)
-    return _square_search(cayley_square(group), pin=True)
+    return _square_search(cayley_square(group))
 
 
 def _resolve_members(group: Group, subgroup: Iterable[int] | None) -> list[int]:
     if subgroup is None:
         return list(group.elements())
-    members = sorted({int(x) for x in subgroup})
+    members = sorted(set(_indices(subgroup, group.n, InvalidInput, "subgroup element")))
     if not is_subgroup(group, members):
         raise InvalidInput("the given element set is not a subgroup")
     return members
@@ -81,7 +82,8 @@ def _checked_ordering(group: Group, members: list[int],
     subgroup.
     """
     given = ordering is not None
-    ordering = tuple(int(x) for x in ordering) if given else _lift(group, members)
+    ordering = (_indices(ordering, group.n, InvalidOrdering, "ordering entry") if given
+                else _lift(group, members))
     try:
         ok, collision = _check_successors(group, ordering, members)
     except NotPermutation as exc:
@@ -143,7 +145,7 @@ def verify_harmonious(group: Group, ordering: Sequence[int],
     """``(True, None)`` if the successor products are pairwise distinct, else
     ``(False, first_collision)``. ``subgroup``, the whole group by default,
     must be a subgroup (:class:`InvalidInput` otherwise)."""
-    order = tuple(int(x) for x in ordering)
+    order = _indices(ordering, group.n, NotPermutation, "ordering entry")
     return _check_successors(group, order, _resolve_members(group, subgroup))
 
 

@@ -549,6 +549,24 @@ def test_ladder_path_holds_no_table_at_the_order_cap(capsys):
     assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_root_rule_holds_no_table_at_the_order_cap(capsys):
+    # orders 2 mod 4, and orders 4m whose product test fails, are decided
+    # before the rows are read: the n x n table would take tens of MB
+    tracemalloc.start()
+    try:
+        for which in ("transversal", "count", "completemapping"):
+            for spec in ("Z2046", "D1023", "Z2048", "Dic511"):
+                code, out, _ = run(capsys, "oracle", which, spec, "--guard-override", "2048",
+                                   "--format", "json")
+                assert code == 0, (which, spec)
+                data = json.loads(out)
+                assert data.get("count", 0) == 0 and not data.get("present"), (which, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def _src_env():
     src = str(Path(ntk.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(

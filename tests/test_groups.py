@@ -306,6 +306,15 @@ def test_semidirect_names_first_offending_pair(k_part, h_part, action, message):
     assert str(info.value) == message
 
 
+def test_semidirect_action_holds_ints_in_range():
+    z3 = ntk.cyclic(3)
+    inverted = ntk.semidirect(ntk.cyclic(2), z3, [(0, 1, 2), (0, 2.0, 1)])
+    assert inverted.table == ntk.semidirect(ntk.cyclic(2), z3, [(0, 1, 2), (0, 2, 1)]).table
+    for bad in (1.5, "2", -1, 3):
+        with pytest.raises(InvalidAction, match=r"^action\[1\] entry .* is not an int in"):
+            ntk.semidirect(ntk.cyclic(2), z3, [(0, 1, 2), (0, bad, 1)])
+
+
 def test_word_presentation_relations():
     from ntk.catalog import _s3_times_cyclic
     g = _s3_times_cyclic(3)

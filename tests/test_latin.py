@@ -10,7 +10,7 @@ import ntk
 from ntk.catalog import builtin_catalog
 from ntk.errors import InvalidInput, NotLatin, NotPermutation, OrderTooLarge
 from ntk.groups import CYCLIC_NONTRIVIAL, _abelianized_product_is_identity
-from ntk.latin import ROLES, _column_regular, _search, _square_search
+from ntk.latin import ROLES, _column_regular, _search, _splits, _square_search
 
 
 def test_cayley_square_examples():
@@ -157,12 +157,12 @@ def _plain_search(rows, skips=0, count=False):
     return tuple(picked) if found else None
 
 
-def _assert_oracles_match_plain_search(rows, label, max_count_order=9, blocks=()):
-    """The kernel and the oracle wrappers, which pin row 0 on
-    column-regular squares, against the unpinned plain search; every kernel
-    call and the oracles' square get ``blocks``."""
+def _assert_oracles_match_plain_search(square, label, max_count_order=9, blocks=()):
+    """The kernel and the oracle wrappers on ``square``, which pin row 0 on
+    Cayley and column-regular squares, against the unpinned plain search;
+    every kernel call gets ``blocks``."""
+    rows = square.cells
     n = len(rows)
-    square = ntk.latin_square(rows)._replace(read_blocks=lambda: blocks)
     first = _plain_search(rows)
     assert _search(rows, blocks=blocks) == first, label
     assert ntk.brute_force_transversal(square) == (
@@ -186,7 +186,7 @@ def test_search_kernel_matches_plain_search_to_order_10():
     # leaves with 1 or 2 uncovered rows to order 10; kernel counts with 1
     # or 2 uncovered rows to order 9
     for entry in builtin_catalog(10):
-        _assert_oracles_match_plain_search(entry.group.table, entry.label)
+        _assert_oracles_match_plain_search(ntk.latin_square(entry.group.table), entry.label)
 
 
 @settings(max_examples=30, deadline=None)
@@ -196,7 +196,7 @@ def test_search_kernel_matches_plain_search_on_isotopes(data):
     n = entry.group.n
     perms = [data.draw(st.permutations(range(n))) for _ in range(3)]
     square = ntk.apply_isotopy(ntk.cayley_square(entry.group), *perms)
-    _assert_oracles_match_plain_search(square.cells, entry.label, max_count_order=8)
+    _assert_oracles_match_plain_search(square, entry.label, max_count_order=8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -248,7 +248,7 @@ def test_non_group_square_is_searched_unpinned():
     rows = NON_GROUP_SQUARE
     assert _plain_search(rows, count=True) == 32
     assert 6 * _search(rows, count=True, pin=True) == 48  # what a pin would claim
-    _assert_oracles_match_plain_search(rows, "non-group square")
+    _assert_oracles_match_plain_search(ntk.latin_square(rows), "non-group square")
 
 
 # ---------------------------------------------------------------------------
@@ -257,11 +257,15 @@ def test_non_group_square_is_searched_unpinned():
 # cells from each
 
 def test_only_cayley_squares_have_blocks():
+    # the cut reads its blocks from the square's group; a plain square, an
+    # isotope or a conjugate holds no group, and so no blocks
     group = ntk.dihedral(4)
     square = ntk.cayley_square(group)
-    assert len(square.blocks) == 3
-    assert ntk.latin_square(square.cells).blocks == ()
-    assert ntk.apply_isotopy(square, *[range(8)] * 3).blocks == ()
+    assert square.group is group and square.rows is None
+    assert len(_splits(square.group)) == 3
+    for other in (ntk.latin_square(square.cells), ntk.apply_isotopy(square, *[range(8)] * 3),
+                  ntk.conjugate_square(square, ROLES)):
+        assert other.group is None and other.cells == square.cells
 
 
 def test_block_cut_leaves_partial_transversals_alone():
@@ -269,10 +273,9 @@ def test_block_cut_leaves_partial_transversals_alone():
     # two uncovered rows has 3 cells in one block, where n/4 = 2, and Z6 has
     # leaves with one uncovered row although 4 does not divide 6
     for group in (ntk.dihedral(4), ntk.cyclic(6)):
-        square = ntk.cayley_square(group)
         for skips in (1, 2):
-            assert _search(square.cells, skips, blocks=square.blocks) == _plain_search(
-                square.cells, skips), (group.label, skips)
+            assert _search(group.table, skips, blocks=_splits(group)) == _plain_search(
+                group.table, skips), (group.label, skips)
 
 
 def test_every_transversal_takes_a_quarter_of_each_block_to_order_8():
@@ -280,7 +283,7 @@ def test_every_transversal_takes_a_quarter_of_each_block_to_order_8():
     for entry in builtin_catalog(8):
         rows = entry.group.table
         n = len(rows)
-        blocks = ntk.cayley_square(entry.group).blocks
+        blocks = _splits(entry.group)
         for mask, col_mask in blocks:
             assert mask == col_mask
             # the diagonal blocks hold the symbols in N, the others the rest
@@ -309,19 +312,18 @@ def test_block_cut_keeps_the_first_leaf_to_order_16():
         group = entry.group
         if entry.label == "Z16":
             continue
-        square = ntk.cayley_square(group)
         none = group.n > 10 and ntk.sylow2(group).classification == CYCLIC_NONTRIVIAL
-        first = None if none else _plain_search(square.cells)
-        assert _search(square.cells, blocks=square.blocks) == first, entry.label
-        assert _search(square.cells, pin=True, blocks=square.blocks) == first, entry.label
+        first = None if none else _plain_search(group.table)
+        assert _search(group.table, blocks=_splits(group)) == first, entry.label
+        assert _search(group.table, pin=True, blocks=_splits(group)) == first, entry.label
 
 
 def test_block_cut_keeps_every_leaf_to_order_10():
     # counts, pinned and unpinned, and leaves with 1 or 2 uncovered rows,
     # which the cut leaves alone
     for entry in builtin_catalog(10):
-        square = ntk.cayley_square(entry.group)
-        _assert_oracles_match_plain_search(square.cells, entry.label, blocks=square.blocks)
+        _assert_oracles_match_plain_search(ntk.cayley_square(entry.group), entry.label,
+                                           blocks=_splits(entry.group))
 
 
 def _moved(mask, perm):
@@ -332,24 +334,21 @@ def _moved(mask, perm):
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_block_cut_on_isotopes(data):
-    # the blocks follow an isotopy's rows and columns, so the cut runs on
-    # layouts where N's rows and columns are not the group's
+    # the blocks follow an isotopy's rows and columns, so the kernel's cut
+    # runs on layouts where N's rows and columns are not the group's
     entry = data.draw(st.sampled_from([e for e in builtin_catalog(10) if e.group.n % 2 == 0]))
     n = entry.group.n
     perms = [data.draw(st.permutations(range(n))) for _ in range(3)]
-    cayley = ntk.cayley_square(entry.group)
-    square = ntk.apply_isotopy(cayley, *perms)
+    square = ntk.apply_isotopy(ntk.cayley_square(entry.group), *perms)
     blocks = tuple((_moved(row_mask, perms[0]), _moved(col_mask, perms[1]))
-                   for row_mask, col_mask in cayley.blocks)
-    _assert_oracles_match_plain_search(square.cells, entry.label, max_count_order=8,
-                                       blocks=blocks)
+                   for row_mask, col_mask in _splits(entry.group))
+    _assert_oracles_match_plain_search(square, entry.label, max_count_order=8, blocks=blocks)
 
 
 def test_block_cut_decides_orders_not_divisible_by_4_at_once():
     for group in (ntk.cyclic(14), ntk.dihedral(7), ntk.cyclic(30)):
-        square = ntk.cayley_square(group)
-        assert _search(square.cells, blocks=square.blocks) is None
-        assert _search(square.cells, count=True, blocks=square.blocks) == 0
+        assert _search(group.table, blocks=_splits(group)) is None
+        assert _search(group.table, count=True, blocks=_splits(group)) == 0
     assert ntk.brute_force_transversal(ntk.cayley_square(ntk.cyclic(14)), guard=14) is None
     for group in (ntk.dihedral(12), ntk.dicyclic(6),
                   ntk.parse_group_spec("Z2 x Z2 x Z2 x Z2 x Z2")[0]):
@@ -441,16 +440,19 @@ def test_product_test_runs_once_and_only_in_whole_searches_of_order_4m(monkeypat
         ntk.near_transversal(group)
     for group in (ntk.dihedral(4), ntk.dicyclic(2), ntk.dihedral(8)):
         ntk.near_transversal(group)
-    assert _square_search(ntk.cayley_square(ntk.cyclic(4)), True, skips=1) is not None
+    assert _square_search(ntk.cayley_square(ntk.cyclic(4)), skips=1) is not None
     assert calls == ["Z8"]
 
 
 def test_only_cayley_squares_carry_regular_columns_and_the_product_test():
-    square = ntk.cayley_square(ntk.cyclic(12))
-    assert square.column_regular and square.product_test() is False
+    # a Cayley square is pinned and product-tested by its group; any other
+    # square holds no group and is pinned only where _column_regular holds
+    group = ntk.cyclic(12)
+    square = ntk.cayley_square(group)
+    assert square.group is group and not _abelianized_product_is_identity(square.group)
     for other in (ntk.latin_square(square.cells), ntk.apply_isotopy(square, *[range(12)] * 3),
                   ntk.conjugate_square(square, ROLES)):
-        assert not other.column_regular and other.product_test is None
+        assert other.group is None and _column_regular(other.rows)
 
 
 def test_transversal_presence_matches_sylow_class_to_order_16():
@@ -535,6 +537,15 @@ def test_isotopy_rejects_non_permutation():
         ntk.apply_isotopy(square, [0, 0, 1], range(3), range(3))
 
 
+def test_isotopy_reads_ints_in_range_only():
+    square = ntk.cayley_square(ntk.cyclic(3))
+    swapped = ntk.apply_isotopy(square, [0, 2.0, 1], range(3), range(3))
+    assert swapped.cells == ntk.apply_isotopy(square, [0, 2, 1], range(3), range(3)).cells
+    for bad in (1.9, "1", -1, 3):
+        with pytest.raises(NotPermutation, match="row permutation entry"):
+            ntk.apply_isotopy(square, [0, bad, 2], range(3), range(3))
+
+
 @settings(max_examples=40)
 @given(st.data())
 def test_isotopy_maps_near_transversal_to_near_transversal(data):
@@ -617,6 +628,21 @@ def test_cells_json_round_trip():
     assert all(len(item) == 3 for item in data)
     back = ntk.cells_from_json(data, square)
     assert set(back) == set(cells)
+
+
+def test_cells_json_reads_ints_in_range_only():
+    square = ntk.cayley_square(ntk.cyclic(4))
+    assert ntk.cells_from_json([[1.0, 2, 3.0]], square) == ((1, 2),)
+    assert ntk.cells_from_json([[7, 0], [-1, 2]]) == ((7, 0), (-1, 2))  # no square, no range
+    for bad in ([[1.5, 0]], [["2", "1"]]):
+        with pytest.raises(InvalidInput, match="is not an int$"):
+            ntk.cells_from_json(bad)
+        with pytest.raises(InvalidInput, match=r"is not an int in \[0, 4\)$"):
+            ntk.cells_from_json(bad, square)
+    # symbol(-1, 0) wraps to 3, so the stored symbol alone would pass
+    for bad in ([[7, 0]], [[-1, 0, 3]], [[0, 4]], [[0, 1, 1.5]]):
+        with pytest.raises(InvalidInput, match=r"is not an int in \[0, 4\)$"):
+            ntk.cells_from_json(bad, square)
 
 
 def test_cells_json_symbol_mismatch_rejected():

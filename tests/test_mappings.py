@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 import ntk
 from ntk.catalog import builtin_catalog
-from ntk.errors import InvalidInput, NotPermutation, OddOrderRequired, OrderTooLarge
+from ntk.errors import (InvalidInput, InvalidOrdering, NotPermutation, OddOrderRequired,
+                        OrderTooLarge)
 from ntk.groups import CYCLIC_NONTRIVIAL, _abelianized_product_is_identity
 from ntk.groupspec import parse_group_spec
 from ntk.latin import _search
@@ -27,6 +28,38 @@ def test_specific_mapping_on_klein_group():
 def test_is_complete_mapping_rejects_non_permutation():
     with pytest.raises(NotPermutation):
         ntk.is_complete_mapping(ntk.cyclic(3), (0, 0, 1))
+
+
+def test_element_indices_must_be_ints_in_range():
+    # a value equal to an int in [0, n) is read as it; 1.5, "1", -1 and n
+    # are refused, where int() used to truncate or parse them
+    z3 = ntk.cyclic(3)
+    assert ntk.is_complete_mapping(z3, [0, 1.0, 2.0])
+    assert ntk.verify_harmonious(z3, [0, 1.0, 2]) == (True, None)
+    for bad in (1.5, "1", -1, 3):
+        with pytest.raises(NotPermutation, match="sigma entry"):
+            ntk.is_complete_mapping(z3, [0, bad, 2])
+        with pytest.raises(NotPermutation, match="ordering entry"):
+            ntk.verify_harmonious(z3, [0, bad, 2])
+    with pytest.raises(NotPermutation, match=r"^sigma entry 1\.5 is not an int in \[0, 3\)$"):
+        ntk.is_complete_mapping(z3, [0, 1.5, 2])
+    with pytest.raises(NotPermutation, match=r"^ordering entry 1\.7 is not an int in \[0, 3\)$"):
+        ntk.verify_harmonious(z3, [0, 1.7, 2])
+    z9 = ntk.cyclic(9)
+    assert ntk.harmonious_ordering(z9, [0, 3.0, 6]) == ntk.harmonious_ordering(z9, [0, 3, 6])
+    with pytest.raises(InvalidInput, match="subgroup element '3'"):
+        ntk.harmonious_ordering(z9, [0, "3", 6])
+    with pytest.raises(InvalidInput, match="subgroup element 9"):
+        ntk.verify_harmonious(z9, [0, 3, 6], subgroup=[0, 3, 6, 9])
+
+
+def test_given_ladder_ordering_must_hold_ints_in_range():
+    dec = ntk.decompose(ntk.cyclic(6))
+    ordering = ntk.harmonious_ordering(dec.group, dec.fixed_part)
+    assert ntk.build_witness(dec, [float(g) for g in ordering]).ordering == ordering
+    for bad in (ordering[1] + 0.5, str(ordering[1]), -1, 6):
+        with pytest.raises(InvalidOrdering, match="ordering entry"):
+            ntk.build_witness(dec, (ordering[0], bad, *ordering[2:]))
 
 
 def test_find_absent_for_z6():
