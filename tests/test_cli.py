@@ -1,9 +1,11 @@
 import argparse
+import hashlib
 import inspect
 import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -924,3 +926,42 @@ def test_each_handler_takes_the_fields_of_its_command():
     for command, (_, positionals, options) in cli.COMMANDS.items():
         fields = {name for name, _, _ in positionals} | {dest for dest, *_ in options.values()}
         assert set(inspect.signature(cli.HANDLERS[command]).parameters) == fields, command
+
+
+CATALOG_OUTPUTS = DATA / "catalog_outputs.json"
+
+
+def _catalog_calls():
+    """The pinned calls: construct (json and text), analyze and verify on
+    every catalog group up to order 200, then the catalog itself."""
+    for entry in builtin_catalog(200):
+        yield ["construct", entry.label, "--format", "json"]
+        yield ["construct", entry.label]
+        yield ["analyze", entry.label, "--format", "json"]
+        yield ["verify", entry.label, "--format", "json"]
+    yield ["catalog", "--max-order", "200", "--format", "json"]
+
+
+def _output_digest(argv):
+    """SHA-256 of the exit code, stdout and stderr of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    text = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_catalog_outputs_are_pinned():
+    # Regenerate with `PYTHONPATH=src python tests/test_cli.py`, only when an
+    # output is meant to change.
+    pinned = json.loads(CATALOG_OUTPUTS.read_text())
+    calls = [shlex.join(argv) for argv in _catalog_calls()]
+    assert calls == list(pinned)
+    for argv in _catalog_calls():
+        call = shlex.join(argv)
+        assert _output_digest(argv) == pinned[call], f"output of `ntk {call}` changed"
+
+
+if __name__ == "__main__":
+    CATALOG_OUTPUTS.write_text(json.dumps(
+        {shlex.join(argv): _output_digest(argv) for argv in _catalog_calls()}, indent=1) + "\n")
