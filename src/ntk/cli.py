@@ -131,7 +131,7 @@ def cmd_analyze(spec: str, format: str) -> int:
             "generator": group.names[dec.sylow_gen],
             "l": dec.odd_order,
             "m": dec.fixed_order,
-            "moved": len(dec.moved_part),
+            "moved": dec.odd_order - dec.fixed_order,
             "ordering": [group.names[h] for h in ordering],
         })
     else:

@@ -7,10 +7,12 @@ Pipeline for a group whose Sylow 2-subgroup is cyclic and nontrivial:
    order ``l = n/k``. Conjugation by the involution ``a = b^(k/2)`` is an
    order-2 automorphism of H; its fixed subgroup has odd order ``m``
    dividing ``l`` and the remaining ``l - m`` elements pair up under it.
+   The :class:`Decomposition` keeps ``k``, ``l``, the fixed subgroup, ``m``,
+   the orbit pairs and the powers of ``b``; H and the twist are not kept.
 2. ``build_witness``: materialize the ``2n`` witness cells as two flat
    families, driven by a harmonious ordering of the fixed subgroup: the
    "ladder" cells over the fixed part (``2km`` of them) and the "prism"
-   cells over the moved part (``2k(l-m)``). Each family lists its diagonal
+   cells over the orbit pairs (``2k(l-m)``). Each family lists its diagonal
    cells first and then its shifted cells in the same order.
 3. ``extract_near_transversal``: read off ``n - 1`` pairwise-independent
    cells by position: a greedy walk around the ladder rim yields
@@ -55,17 +57,15 @@ SEARCH_ORDER = 16
 
 Decomposition = namedtuple(
     "Decomposition",
-    "group sylow_gen sylow_order odd_part odd_order twist fixed_part fixed_order "
-    "moved_part orbit_pairs gen_powers")
+    "group sylow_gen sylow_order odd_order fixed_part fixed_order orbit_pairs gen_powers")
 Decomposition.__doc__ = """The data splitting G over its cyclic Sylow 2-subgroup.
 
 ``sylow_gen`` (order ``sylow_order = k``) generates the Sylow 2-subgroup;
-``odd_part`` is the normal subgroup of all odd-order elements (order
-``odd_order = l``); ``twist`` is conjugation by the involution
-``sylow_gen^(k/2)``; ``fixed_part``/``fixed_order`` are its fixed subgroup
-inside the odd part and that subgroup's (odd) order ``m``; ``moved_part``
-is the rest of the odd part, paired up by the twist into ``orbit_pairs``
-with the smaller index listed first; ``gen_powers`` lists ``sylow_gen^i``
+``odd_order = l`` is the order of the normal subgroup H of all odd-order
+elements; ``fixed_part``/``fixed_order`` are the subgroup of H fixed by
+conjugation with the involution ``sylow_gen^(k/2)`` and its (odd) order
+``m``; ``orbit_pairs`` pairs up the other ``l - m`` elements of H under that
+conjugation, the smaller index first; ``gen_powers`` lists ``sylow_gen^i``
 for ``i`` in ``[k]``.
 """
 
@@ -98,11 +98,12 @@ class Witness(namedtuple("Witness", "dec ordering ladder_cells prism_cells")):
 
 
 ConstructionResult = namedtuple(
-    "ConstructionResult", "group branch cells k l m ordering witness",
-    defaults=(None, None, None))
+    "ConstructionResult", "group branch cells k witness", defaults=(None,))
 ConstructionResult.__doc__ = """A verified near transversal plus the provenance of its branch.
 
-``m``, ``ordering`` and ``witness`` are None on the complete-mapping branch.
+``k`` is the order of the Sylow 2-subgroup. ``witness`` holds the
+decomposition and the ordering on the construction branch and is None on the
+complete-mapping branch.
 """
 
 
@@ -132,7 +133,7 @@ def decompose(group: Group, *, report: SylowReport | None = None) -> Decompositi
     mul = group.mul
 
     orders = _cached_orders(group)
-    odd_part = frozenset(g for g in group.elements() if orders[g] % 2 == 1)
+    odd_part = [g for g in group.elements() if orders[g] % 2 == 1]
     if len(odd_part) != l:
         raise StructureViolation(
             f"odd-order elements number {len(odd_part)}, expected {l}"
@@ -148,22 +149,9 @@ def decompose(group: Group, *, report: SylowReport | None = None) -> Decompositi
     a = gen_powers[k // 2]
     twist = conjugation(group, a)
     fixed_part = frozenset(h for h in odd_part if twist[h] == h)
-    moved_part = odd_part - fixed_part
-    pairs = tuple((f, twist[f]) for f in sorted(moved_part) if f < twist[f])
-
-    return Decomposition(
-        group=group,
-        sylow_gen=b,
-        sylow_order=k,
-        odd_part=odd_part,
-        odd_order=l,
-        twist=twist,
-        fixed_part=fixed_part,
-        fixed_order=len(fixed_part),
-        moved_part=moved_part,
-        orbit_pairs=pairs,
-        gen_powers=tuple(gen_powers),
-    )
+    pairs = tuple((f, twist[f]) for f in odd_part if f < twist[f])
+    return Decomposition(group, b, k, l, fixed_part, len(fixed_part), pairs,
+                         tuple(gen_powers))
 
 
 def build_witness(dec: Decomposition,
@@ -251,16 +239,7 @@ def near_transversal(group: Group, *,
         dec = decompose(group, report=report)
         witness = build_witness(dec, ordering)
         cells = extract_near_transversal(witness)
-        return ConstructionResult(
-            group=group,
-            branch=BRANCH_CONSTRUCTION,
-            cells=cells,
-            k=k,
-            l=dec.odd_order,
-            m=dec.fixed_order,
-            ordering=witness.ordering,
-            witness=witness,
-        )
+        return ConstructionResult(group, BRANCH_CONSTRUCTION, cells, k, witness)
 
     if ordering is not None:
         raise InvalidOrdering(
@@ -281,13 +260,8 @@ def near_transversal(group: Group, *,
     if sigma is None:
         raise StructureViolation("no complete mapping found for a group whose Sylow 2-subgroup "
                                  "is trivial or non-cyclic; this contradicts the classification")
-    return ConstructionResult(
-        group=group,
-        branch=BRANCH_COMPLETE_MAPPING,
-        cells=_checked_cells(group, [(g, sigma[g]) for g in range(n - 1)]),
-        k=k,
-        l=n // k,
-    )
+    return ConstructionResult(group, BRANCH_COMPLETE_MAPPING,
+                              _checked_cells(group, [(g, sigma[g]) for g in range(n - 1)]), k)
 
 
 def display_orders(witness: Witness) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -314,19 +288,16 @@ def result_json(result: ConstructionResult, label: str | None = None) -> dict:
     ``verified`` is always true: :func:`near_transversal` raises instead of
     returning cells it could not check.
     """
-    group = result.group
+    group, witness = result.group, result.witness
     cells = sorted([r, c, group.mul(r, c)] for r, c in result.cells)
     return {
         "group": label if label is not None else group.label,
         "n": group.n,
         "k": result.k,
-        "l": result.l,
-        "m": result.m,
+        "l": group.n // result.k,
+        "m": witness.dec.fixed_order if witness else None,
         "branch": result.branch,
         "cells": cells,
-        "ordering": (
-            [group.names[h] for h in result.ordering]
-            if result.ordering is not None else None
-        ),
+        "ordering": [group.names[h] for h in witness.ordering] if witness else None,
         "verified": True,
     }

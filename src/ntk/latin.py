@@ -151,11 +151,14 @@ def cells_to_json(square: LatinSquare, cells: Iterable[Cell]) -> list[list[int]]
 def cells_from_json(data: Iterable[Sequence[int]],
                     square: LatinSquare | None = None) -> tuple[Cell, ...]:
     """The cells of ``[row, column(, symbol)]`` items, whose entries must be
-    ints, in [0, n) with a ``square``, whose symbol a stored one must be."""
+    ints, in [0, n) with a ``square``, whose symbol a stored one must be.
+    Any other item raises :class:`InvalidInput` naming it."""
     n = None if square is None else square.n
     out = []
     for item in data:
-        r, c, *stored = _indices(item[:3], n, InvalidInput, "cell entry")
+        if not isinstance(item, Sequence) or len(item) not in (2, 3):
+            raise InvalidInput(f"cell item {item!r} is not a sequence of 2 or 3 entries")
+        r, c, *stored = _indices(item, n, InvalidInput, "cell entry")
         if square is not None and stored and square.symbol(r, c) != stored[0]:
             raise InvalidInput(
                 f"stored symbol {item[2]} disagrees with square at ({r},{c})"

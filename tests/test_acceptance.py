@@ -61,12 +61,14 @@ def test_criterion_1_order18_reference_layout():
         assert dec.sylow_order == 2
         assert dec.odd_order == 9
         assert dec.fixed_order == 3
-        assert dec.odd_part == ntk.subgroup_closure(group, {c, d})
+        orders = ntk.element_orders(group)
+        odd_part = {g for g in group.elements() if orders[g] % 2 == 1}
+        assert odd_part == ntk.subgroup_closure(group, {c, d})
         assert dec.fixed_part == ntk.subgroup_closure(group, {c})
 
         ordering = (e, c, group.mul(c, c))  # fixed subgroup as 1, c, c2
         result = ntk.near_transversal(group, ordering=ordering)
-        assert result.ordering == ordering
+        assert result.witness.ordering == ordering
 
         model = render_model(result)
         witness = result.witness

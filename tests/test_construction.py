@@ -17,23 +17,34 @@ def cyclic_nontrivial_entries(max_order):
 # ---------------------------------------------------------------------------
 # decompose
 
+def _odd_part(group):
+    """H, the elements of odd order, computed apart from ``decompose``."""
+    orders = ntk.element_orders(group)
+    return frozenset(g for g in group.elements() if orders[g] % 2 == 1)
+
+
+def _twist(dec):
+    """Conjugation by the involution ``sylow_gen^(k/2)``."""
+    return ntk.conjugation(dec.group, dec.gen_powers[dec.sylow_order // 2])
+
+
 def test_decompose_order18_words():
     group = _s3_times_cyclic(3)
     dec = ntk.decompose(group)
     assert dec.sylow_order == 2 and dec.odd_order == 9 and dec.fixed_order == 3
     c, d = group.index_of("c"), group.index_of("d")
-    assert dec.odd_part == ntk.subgroup_closure(group, {c, d})
+    assert _odd_part(group) == ntk.subgroup_closure(group, {c, d})
     assert dec.fixed_part == ntk.subgroup_closure(group, {c})
-    assert len(dec.moved_part) == 6
+    assert len(_odd_part(group) - dec.fixed_part) == 6
 
 
 def test_decompose_z6():
     group = ntk.cyclic(6)
     dec = ntk.decompose(group)
     assert dec.sylow_order == 2 and dec.odd_order == 3
-    assert dec.odd_part == {0, 2, 4}
-    assert dec.twist == tuple(range(6))  # abelian: trivial twist
-    assert dec.fixed_order == 3 and not dec.moved_part
+    assert _odd_part(group) == {0, 2, 4}
+    assert _twist(dec) == tuple(range(6))  # abelian: trivial twist
+    assert dec.fixed_order == 3 and not _odd_part(group) - dec.fixed_part
 
 
 def test_decompose_s3():
@@ -41,7 +52,7 @@ def test_decompose_s3():
     dec = ntk.decompose(group)
     assert dec.sylow_order == 2 and dec.odd_order == 3
     assert dec.fixed_part == {group.identity}
-    assert dec.fixed_order == 1 and len(dec.moved_part) == 2
+    assert dec.fixed_order == 1 and len(_odd_part(group) - dec.fixed_part) == 2
 
 
 def test_decompose_not_applicable():
@@ -76,12 +87,13 @@ def test_decomposition_identities_across_catalog():
     for group in groups:
         dec = ntk.decompose(group)
         k, l, m = dec.sylow_order, dec.odd_order, dec.fixed_order
-        odd, fixed, moved = dec.odd_part, dec.fixed_part, dec.moved_part
-        assert group.n == k * l and m % 2 == 1 and l % m == 0, group.label
+        odd, fixed = _odd_part(group), dec.fixed_part
+        moved, twist = odd - fixed, _twist(dec)
+        assert group.n == k * l and len(odd) == l and m % 2 == 1 and l % m == 0, group.label
         for g in _generating_set(group):
             assert {group.conjugate(g, h) for h in odd} == odd
         assert set(dec.gen_powers) & odd == {group.identity}
-        assert all(dec.twist[dec.twist[h]] == h for h in odd)
+        assert all(twist[twist[h]] == h for h in odd)
         assert is_subgroup(group, fixed)
         conj = ntk.conjugation(group, dec.sylow_gen)
         assert {conj[h] for h in fixed} == fixed
@@ -110,9 +122,10 @@ def test_gen_powers_are_the_powers_of_the_sylow_generator():
 
 def test_orbit_pairs_use_smaller_index_first():
     dec = ntk.decompose(ntk.symmetric(3))
+    twist = _twist(dec)
     for rep, partner in dec.orbit_pairs:
         assert rep < partner
-        assert dec.twist[rep] == partner and dec.twist[partner] == rep
+        assert twist[rep] == partner and twist[partner] == rep
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +393,8 @@ def test_construction_beyond_associativity_threshold():
     group = ntk.cyclic(520)
     result = ntk.near_transversal(group)
     assert len(result.cells) == 519
-    assert (result.k, result.l, result.m) == (8, 65, 65)
+    data = ntk.result_json(result)
+    assert (data["k"], data["l"], data["m"]) == (8, 65, 65)
     assert ntk.check_witness(result.witness)["passed"]
 
 

@@ -643,6 +643,11 @@ def test_cells_json_reads_ints_in_range_only():
     for bad in ([[7, 0]], [[-1, 0, 3]], [[0, 4]], [[0, 1, 1.5]]):
         with pytest.raises(InvalidInput, match=r"is not an int in \[0, 4\)$"):
             ntk.cells_from_json(bad, square)
+    # an item that is not a sequence of 2 or 3 entries is named, not read in part
+    for bad in ([[1]], [5], [[1, 2, 3, 4]], [[]], [None]):
+        for sq in (None, square):
+            with pytest.raises(InvalidInput, match=r"^cell item .* is not a sequence of 2 or 3 "):
+                ntk.cells_from_json(bad, sq)
 
 
 def test_cells_json_symbol_mismatch_rejected():
